@@ -224,10 +224,25 @@ pub fn encode<T: Serialize>(message: &T) -> String {
 
 /// Decodes one request line.
 ///
+/// A `Tick` line in the canonical shape [`encode`] writes
+/// (`{"Tick":{"unit":…,"tick":…,"frame":[[…],…]}}`, any JSON whitespace
+/// between tokens) is read straight into [`Request::Tick`]: no `Value`
+/// tree, no key strings, and `dbs + 1` allocations for the frame. Every
+/// other line — other requests, reordered, unknown or duplicate keys,
+/// anything malformed — goes through the generic `serde_json` decoder,
+/// which therefore also produces every error. Numbers go through the
+/// shim's own tokenizer and `Deserialize` impls, so both paths yield the
+/// same bits.
+///
 /// # Errors
 /// [`ProtocolError::Oversized`] past [`MAX_LINE_BYTES`],
 /// [`ProtocolError::Malformed`] for anything `serde_json` rejects.
 pub fn decode_request(line: &str) -> Result<Request, ProtocolError> {
+    if line.len() <= MAX_LINE_BYTES {
+        if let Some(tick) = TickCursor::new(line.trim_end()).tick() {
+            return Ok(tick);
+        }
+    }
     decode(line)
 }
 
@@ -248,6 +263,145 @@ fn decode<T: Deserialize>(line: &str) -> Result<T, ProtocolError> {
     serde_json::from_str(line.trim_end()).map_err(|e| ProtocolError::Malformed {
         detail: e.to_string(),
     })
+}
+
+/// Samples per frame row the direct `Tick` reader buffers on the stack.
+const ROW_STACK: usize = 64;
+
+/// Direct reader for the canonical `Tick` line. Every method returns
+/// `None` at the first byte off the canonical shape; the caller then
+/// falls back to the generic decoder.
+struct TickCursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> TickCursor<'a> {
+    fn new(line: &'a str) -> Self {
+        Self {
+            bytes: line.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    fn tick(mut self) -> Option<Request> {
+        self.consume(b"{")?;
+        self.key(b"\"Tick\"")?;
+        self.consume(b"{")?;
+        self.key(b"\"unit\"")?;
+        let unit = usize::from_value(&self.number()?).ok()?;
+        self.consume(b",")?;
+        self.key(b"\"tick\"")?;
+        let tick = u64::from_value(&self.number()?).ok()?;
+        self.consume(b",")?;
+        self.key(b"\"frame\"")?;
+        let frame = self.frame()?;
+        self.consume(b"}")?;
+        self.consume(b"}")?;
+        self.skip_ws();
+        (self.pos == self.bytes.len()).then_some(Request::Tick { unit, tick, frame })
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        self.bytes.get(self.pos..).unwrap_or_default()
+    }
+
+    /// Consumes `token` after optional whitespace.
+    fn consume(&mut self, token: &[u8]) -> Option<()> {
+        self.skip_ws();
+        self.rest()
+            .starts_with(token)
+            .then(|| self.pos += token.len())
+    }
+
+    /// Consumes a `"name":` object key.
+    fn key(&mut self, name: &[u8]) -> Option<()> {
+        self.consume(name)?;
+        self.consume(b":")
+    }
+
+    fn number(&mut self) -> Option<serde_json::Value> {
+        self.skip_ws();
+        serde_json::parse_number(self.bytes, &mut self.pos).ok()
+    }
+
+    /// One sample: `null` (NaN) or a number, read exactly as
+    /// `f64::from_value` reads the generic parser's value.
+    fn sample(&mut self) -> Option<f64> {
+        self.skip_ws();
+        if self.rest().starts_with(b"null") {
+            self.pos += 4;
+            return Some(f64::NAN);
+        }
+        f64::from_value(&self.number()?).ok()
+    }
+
+    /// After an element: `,` (more follow) or `]` (done).
+    fn more(&mut self) -> Option<bool> {
+        self.skip_ws();
+        let more = match self.rest().first()? {
+            b',' => true,
+            b']' => false,
+            _ => return None,
+        };
+        self.pos += 1;
+        Some(more)
+    }
+
+    fn frame(&mut self) -> Option<Vec<Vec<f64>>> {
+        self.consume(b"[")?;
+        // In a canonical line every `[` left is a row's; counting them
+        // (a vectorisable pass) sizes the frame exactly.
+        let rows = self.rest().iter().filter(|&&b| b == b'[').count();
+        let mut frame = Vec::with_capacity(rows);
+        if self.consume(b"]").is_some() {
+            return Some(frame);
+        }
+        loop {
+            frame.push(self.row()?);
+            if !self.more()? {
+                return Some(frame);
+            }
+        }
+    }
+
+    fn row(&mut self) -> Option<Vec<f64>> {
+        self.consume(b"[")?;
+        if self.consume(b"]").is_some() {
+            return Some(Vec::new());
+        }
+        // Samples land on the stack first, so the row is allocated once
+        // at its exact length; only rows wider than the stack spill.
+        let mut stack = [0.0f64; ROW_STACK];
+        let mut len = 0;
+        let mut wide: Vec<f64> = Vec::new();
+        loop {
+            let sample = self.sample()?;
+            if let Some(slot) = stack.get_mut(len) {
+                *slot = sample;
+            } else {
+                if wide.is_empty() {
+                    wide.extend_from_slice(&stack);
+                }
+                wide.push(sample);
+            }
+            len += 1;
+            if !self.more()? {
+                break;
+            }
+        }
+        if wide.is_empty() {
+            Some(stack.get(..len)?.to_vec())
+        } else {
+            Some(wide)
+        }
+    }
 }
 
 #[cfg(test)]

@@ -4,12 +4,15 @@
 //!
 //! ```text
 //! accept loop ──spawns──▶ per-connection reader ──jobs──▶ shard workers
+//!                         (64 KiB BufReader)                   │
 //!                              │      ▲                        │
 //!                              │      └── registry (expected   │
-//!                              ▼          tick, degraded)      ▼
-//!                         outbound channel ◀── verdicts / acks ┘
+//!                              │          tick, degraded)      │
+//!                         tick acks, one burst per read chunk  │
+//!                              ▼                               ▼
+//!                         outbound channel ◀── verdicts / control replies
 //!                              │
-//!                              ▼
+//!                              ▼  drain with try_recv, one flush per batch
 //!                         per-connection writer
 //! ```
 //!
@@ -19,6 +22,13 @@
 //! sees `Accepted`/`Rejected` in request order and ingress memory is
 //! bounded by `max_units x queue_cap` frames no matter how fast
 //! producers push. Shard workers only ever see ticks that were accepted.
+//!
+//! Tick replies are collected while complete lines remain in the read
+//! buffer and handed to the writer as one burst before any read that
+//! could block, and before any control request is dispatched or an
+//! `Error` is sent. So acks stay in request order and precede every
+//! reply to a later control request (`FlushAck`, `Stats`, `Error`…).
+//! Verdicts are asynchronous and may interleave anywhere.
 
 use crate::hierarchy::{self, HierarchyOptions};
 use crate::metrics::ServerMetrics;
@@ -30,7 +40,7 @@ use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -38,6 +48,11 @@ use std::time::Duration;
 /// flag. Short enough that teardown-heavy tests (proptest sweeps spawn a
 /// fresh daemon per case) are not dominated by reader-exit latency.
 const READ_POLL: Duration = Duration::from_millis(25);
+
+/// Per-connection read buffer. A pipelined producer's tick lines (about
+/// 1 KiB each at the paper's 5 x 14 frame shape) arrive dozens per read
+/// syscall, and their acks leave as one burst per read.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -280,13 +295,15 @@ impl DetectionServer {
                 retry_after_ms: config.retry_after_ms,
                 hierarchy_tap: hierarchy_feed.is_some(),
             };
-            readers.push(
-                std::thread::Builder::new()
-                    .name("dbcatcher-conn".into())
-                    .spawn(move || handle_connection(stream, ctx))
-                    // dbclint: allow(panic-free) — OS thread-spawn failure has no graceful recovery; fail loud at accept
-                    .expect("spawn connection reader"),
-            );
+            match std::thread::Builder::new()
+                .name("dbcatcher-conn".into())
+                .spawn(move || handle_connection(stream, ctx))
+            {
+                Ok(reader) => readers.push(reader),
+                // The closure (and with it the stream) is dropped, which
+                // closes this one connection; the daemon keeps serving.
+                Err(e) => record_spawn_failure(&metrics, "reader", &e),
+            }
         }
         for reader in readers {
             let _ = reader.join();
@@ -325,34 +342,30 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
         return;
     };
     let (tx, rx) = channel::<Response>();
-    // Writer thread: serialises every outbound message (reader acks and
-    // shard verdicts alike) onto the socket. Exits when all senders drop
-    // or the peer goes away.
-    std::thread::Builder::new()
+    if let Err(e) = std::thread::Builder::new()
         .name("dbcatcher-conn-writer".into())
-        .spawn(move || {
-            let mut writer = BufWriter::new(write_half);
-            while let Ok(response) = rx.recv() {
-                let line = protocol::encode(&response);
-                if writer
-                    .write_all(line.as_bytes())
-                    .and_then(|()| writer.write_all(b"\n"))
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        })
-        // dbclint: allow(panic-free) — OS thread-spawn failure has no graceful recovery; fail loud at accept
-        .expect("spawn connection writer");
+        .spawn(move || write_responses(write_half, &rx))
+    {
+        // Dropping `stream` on return closes the connection.
+        record_spawn_failure(&ctx.metrics, "writer", &e);
+        return;
+    }
 
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::with_capacity(READ_BUF_BYTES, stream);
     let mut buf: Vec<u8> = Vec::new();
+    // The reader's own tick replies, in request order, not yet handed to
+    // the writer.
+    let mut acks: Vec<Response> = Vec::new();
     let mut discarding = false;
     loop {
         if ctx.handle.shutdown.load(Ordering::SeqCst) {
             break;
+        }
+        // The next read may block (no complete line is buffered; a
+        // partial one does not count), so the client must have every ack
+        // it could be waiting for.
+        if !reader.buffer().contains(&b'\n') {
+            send_acks(&tx, &mut acks);
         }
         match reader.read_until(b'\n', &mut buf) {
             Ok(0) => break, // EOF
@@ -371,6 +384,7 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
             continue;
         }
         if buf.len() > MAX_LINE_BYTES {
+            send_acks(&tx, &mut acks);
             let _ = tx.send(Response::Error {
                 message: protocol::ProtocolError::Oversized {
                     max: MAX_LINE_BYTES,
@@ -384,28 +398,92 @@ fn handle_connection(stream: TcpStream, ctx: ConnContext) {
         if !complete {
             continue; // timeout mid-line; keep accumulating
         }
-        let line = String::from_utf8_lossy(&buf).into_owned();
+        let stop = handle_line(&String::from_utf8_lossy(&buf), &mut acks, &tx, &ctx);
         buf.clear();
-        if line.trim().is_empty() {
-            continue;
-        }
-        match protocol::decode_request(&line) {
-            Ok(request) => {
-                let stop = matches!(request, Request::Stop);
-                dispatch(request, &tx, &ctx);
-                if stop {
-                    break;
-                }
-            }
-            Err(e) => {
-                // Malformed input never reaches a shard; the connection
-                // survives.
-                let _ = tx.send(Response::Error {
-                    message: e.to_string(),
-                });
-            }
+        if stop {
+            break;
         }
     }
+    send_acks(&tx, &mut acks);
+}
+
+/// Acts on one complete request line; returns whether it was `Stop`.
+///
+/// A `Tick`'s reply joins `acks`. Anything else first hands `acks` to
+/// the writer, so every tick reply precedes the replies to later control
+/// requests (including the shard-sent `FlushAck`/`HelloAck`).
+fn handle_line(
+    line: &str,
+    acks: &mut Vec<Response>,
+    tx: &Sender<Response>,
+    ctx: &ConnContext,
+) -> bool {
+    if line.trim().is_empty() {
+        return false;
+    }
+    match protocol::decode_request(line) {
+        Ok(Request::Tick { unit, tick, frame }) => {
+            acks.push(admit_tick(unit, tick, frame, tx, ctx));
+            false
+        }
+        Ok(request) => {
+            send_acks(tx, acks);
+            let stop = matches!(request, Request::Stop);
+            dispatch(request, tx, ctx);
+            stop
+        }
+        Err(e) => {
+            // Malformed input never reaches a shard; the connection
+            // survives.
+            send_acks(tx, acks);
+            let _ = tx.send(Response::Error {
+                message: e.to_string(),
+            });
+            false
+        }
+    }
+}
+
+/// Hands the collected tick replies to the writer as one burst.
+fn send_acks(tx: &Sender<Response>, acks: &mut Vec<Response>) {
+    for ack in acks.drain(..) {
+        let _ = tx.send(ack);
+    }
+}
+
+/// Writer thread body: serialises every outbound message (reader acks
+/// and shard verdicts alike) onto the socket, flushing once per drained
+/// batch rather than once per message. Exits when all senders drop or
+/// the peer goes away.
+fn write_responses(socket: TcpStream, rx: &Receiver<Response>) {
+    let mut writer = BufWriter::new(socket);
+    while let Ok(first) = rx.recv() {
+        let mut next = Some(first);
+        while let Some(response) = next {
+            let line = protocol::encode(&response);
+            if writer
+                .write_all(line.as_bytes())
+                .and_then(|()| writer.write_all(b"\n"))
+                .is_err()
+            {
+                return;
+            }
+            next = rx.try_recv().ok();
+        }
+        if writer.flush().is_err() {
+            return;
+        }
+    }
+}
+
+/// Thread exhaustion costs one connection, not the daemon: the failure
+/// is noted where `stats` shows it. It is process-wide rather than
+/// per-shard, so the note goes on shard 0.
+fn record_spawn_failure(metrics: &ServerMetrics, role: &str, error: &std::io::Error) {
+    metrics.record_shard_note(
+        0,
+        format!("connection dropped: cannot spawn its {role} thread: {error}"),
+    );
 }
 
 fn dispatch(request: Request, tx: &Sender<Response>, ctx: &ConnContext) {
@@ -438,7 +516,9 @@ fn dispatch(request: Request, tx: &Sender<Response>, ctx: &ConnContext) {
                 });
             }
         }
-        Request::Tick { unit, tick, frame } => handle_tick_request(unit, tick, frame, tx, ctx),
+        Request::Tick { unit, tick, frame } => {
+            let _ = tx.send(admit_tick(unit, tick, frame, tx, ctx));
+        }
         Request::Flush { unit } => {
             let registered = ctx
                 .registry
@@ -506,13 +586,14 @@ fn dispatch(request: Request, tx: &Sender<Response>, ctx: &ConnContext) {
     }
 }
 
-fn handle_tick_request(
+/// Makes the accept/reject decision for one tick and returns the reply.
+fn admit_tick(
     unit: usize,
     tick: u64,
     frame: Vec<Vec<f64>>,
     tx: &Sender<Response>,
     ctx: &ConnContext,
-) {
+) -> Response {
     use crate::protocol::RejectReason;
     // The whole accept decision happens under the unit's registry entry,
     // so concurrent producers for one unit cannot double-accept a tick.
@@ -599,11 +680,11 @@ fn handle_tick_request(
             }
         }
     });
-    let _ = tx.send(decision.unwrap_or(Response::Rejected {
+    decision.unwrap_or(Response::Rejected {
         unit,
         tick,
         expected: 0,
         retry_after_ms: 0,
         reason: RejectReason::UnknownUnit,
-    }));
+    })
 }

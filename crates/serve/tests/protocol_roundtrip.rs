@@ -251,3 +251,286 @@ fn oversized_lines_rejected_for_both_directions() {
         Err(ProtocolError::Oversized { .. })
     ));
 }
+
+// ------------------------------------------------------------------
+// Direct `Tick` decoder vs the generic decoder.
+//
+// `decode_request` reads canonical `Tick` lines without building a
+// `serde_json::Value` tree and hands every other line to the generic
+// decoder. The generic `serde_json::from_str::<Request>` is the oracle:
+// both must accept or reject the same lines, and accepted frames must be
+// bit-identical.
+
+/// Sample tokens, written as text so bare integers and edge spellings
+/// reach the decoder exactly as a producer could send them.
+const SAMPLES: &[&str] = &[
+    "1.5",
+    "null",
+    "-0.0",
+    "0.0",
+    "-0",
+    "0",
+    "5",
+    "-5",
+    "3.0",
+    "1e2",
+    "1E+2",
+    "0.1",
+    "4.9406564584124654e-324",
+    "2.2250738585072009e-308",
+    "1.7976931348623157e308",
+    "-1.7976931348623157e308",
+    "9223372036854775807",
+    "9223372036854775808",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "1e309",
+    "+1",
+    ".5",
+    "5.",
+    // rejected by both decoders
+    "1-2",
+    "--1",
+    "true",
+    "\"1\"",
+    "[1]",
+    "{}",
+    "nul",
+    "nullx",
+    "NaN",
+    "Infinity",
+    "",
+];
+
+/// Tokens for `unit` and `tick`; the first few are valid for both.
+const INDICES: &[&str] = &[
+    "0",
+    "7",
+    "63",
+    "-0",
+    "18446744073709551615",
+    "-1",
+    "1.0",
+    "1e1",
+    "null",
+    "\"3\"",
+    "99999999999999999999",
+];
+
+/// Whitespace inserted between tokens (mostly none).
+const SPACES: &[&str] = &["", "", "", "", "", " ", "\t", "\r\n ", "  "];
+
+/// Builds one candidate line. `layout` picks the canonical shape or one
+/// of the non-canonical ones the direct decoder must leave to the
+/// generic decoder.
+fn tick_line(layout: usize, unit: &str, tick: &str, frame: &str, ws: &[usize]) -> String {
+    let mut slot = 0;
+    let mut sp = || {
+        slot += 1;
+        SPACES[ws[slot % ws.len()] % SPACES.len()]
+    };
+    let mut members = vec![
+        ("unit", unit.to_string()),
+        ("tick", tick.to_string()),
+        ("frame", frame.to_string()),
+    ];
+    match layout {
+        0..=3 => {}
+        4 => members.swap(0, 2),
+        5 => members.swap(0, 1),
+        6 => members.insert(1, ("extra", "[1,{\"a\":null}]".to_string())),
+        7 => members.push(("unit", "1".to_string())),
+        8 => members.push(("frame", "[]".to_string())),
+        _ => members.truncate(2),
+    }
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("{}\"{k}\"{}:{}{v}{}", sp(), sp(), sp(), sp()))
+        .collect();
+    let outer_extra = if layout == 10 { ",\"Stats\":null" } else { "" };
+    let trailer = if layout == 11 { "x" } else { "" };
+    format!(
+        "{}{{{}\"Tick\"{}:{}{{{}}}{outer_extra}{}}}{}{trailer}",
+        sp(),
+        sp(),
+        sp(),
+        sp(),
+        body.join(","),
+        sp(),
+        sp()
+    )
+}
+
+fn frame_text(rows: &[Vec<usize>], ws: &[usize]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .enumerate()
+        .map(|(r, row)| {
+            let sep = SPACES[ws[r % ws.len()] % SPACES.len()];
+            let items: Vec<&str> = row.iter().map(|&i| SAMPLES[i % SAMPLES.len()]).collect();
+            format!("[{sep}{}]", items.join(&format!(",{sep}")))
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
+}
+
+/// Bit image of a decoded request: frames compare by `to_bits`.
+fn bit_image(request: &Request) -> String {
+    match request {
+        Request::Tick { unit, tick, frame } => {
+            let rows: Vec<Vec<u64>> = frame
+                .iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            format!("Tick {unit} {tick} {rows:?}")
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// Both decoders agree on `line`: same accept/reject, same bits.
+fn assert_agrees(line: &str) {
+    let direct = decode_request(line);
+    let oracle = serde_json::from_str::<Request>(line.trim_end());
+    match (&direct, &oracle) {
+        (Ok(a), Ok(b)) => assert_eq!(bit_image(a), bit_image(b), "line {line:?}"),
+        (Err(ProtocolError::Malformed { .. }), Err(_)) => {}
+        _ => panic!("decoders disagree on {line:?}: direct {direct:?}, oracle {oracle:?}"),
+    }
+}
+
+proptest! {
+    /// Canonical, whitespace-padded, reordered, extended and broken
+    /// `Tick` lines decode exactly as the generic decoder reads them,
+    /// and so does every truncation of each.
+    #[test]
+    fn direct_tick_decode_matches_generic_decoder(
+        layout in 0usize..12,
+        unit in 0usize..64,
+        tick in 0usize..64,
+        rows in prop::collection::vec(prop::collection::vec(0usize..64, 0..7), 0..5),
+        ws in prop::collection::vec(0usize..64, 1..24),
+        valid_only in any::<bool>(),
+    ) {
+        // Half the cases keep to tokens both decoders accept, so the
+        // accepted path is exercised as often as the rejected one.
+        let (samples, indices) = if valid_only { (25, 5) } else { (SAMPLES.len(), INDICES.len()) };
+        let picked: Vec<Vec<usize>> = rows
+            .iter()
+            .map(|row| row.iter().map(|&i| i % samples).collect())
+            .collect();
+        let line = tick_line(
+            layout,
+            INDICES[unit % indices],
+            INDICES[tick % indices],
+            &frame_text(&picked, &ws),
+            &ws,
+        );
+        assert_agrees(&line);
+        for cut in 0..line.len() {
+            if line.is_char_boundary(cut) {
+                assert_agrees(&line[..cut]);
+            }
+        }
+    }
+
+    /// Encoded ticks of arbitrary finite, non-finite and signed-zero
+    /// samples come back bit-identical (non-finite as NaN).
+    #[test]
+    fn encoded_ticks_decode_bit_identically(
+        unit in 0usize..1_000,
+        tick in 0u64..u64::MAX,
+        rows in prop::collection::vec(prop::collection::vec(0usize..12, 0..16), 0..8),
+        mantissas in prop::collection::vec(-1e6f64..1e6, 1..8),
+    ) {
+        let special = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+            42.0,
+            -1e300,
+        ];
+        let frame: Vec<Vec<f64>> = rows
+            .iter()
+            .enumerate()
+            .map(|(r, row)| {
+                row.iter()
+                    .map(|&i| special.get(i).copied().unwrap_or(mantissas[r % mantissas.len()]))
+                    .collect()
+            })
+            .collect();
+        let line = encode(&Request::Tick { unit, tick, frame: frame.clone() });
+        assert_agrees(&line);
+        match decode_request(&line).expect("encoded tick decodes") {
+            Request::Tick { unit: u, tick: t, frame: back } => {
+                prop_assert_eq!((u, t), (unit, tick));
+                prop_assert_eq!(back.len(), frame.len());
+                for (a, b) in back.iter().zip(&frame) {
+                    prop_assert_eq!(a.len(), b.len());
+                    for (x, y) in a.iter().zip(b) {
+                        if y.is_finite() {
+                            prop_assert_eq!(x.to_bits(), y.to_bits());
+                        } else {
+                            prop_assert!(x.is_nan());
+                        }
+                    }
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}
+
+#[test]
+fn direct_decoder_edge_lines_match_generic_decoder() {
+    for line in [
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[],[]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1],[2,3,4],[]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[-0,-0.0,null]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[18446744073709551616]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1,]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1],]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[[1]]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[1]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":null}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]]}}  "#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]]}} x"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]]},"Stop":null}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]],"unit":3}}"#,
+        r#"{"Tick":{"tick":2,"unit":1,"frame":[[1]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":2,"frame":[[1]]}}"#,
+        r#"{"Tick":{"unit":1,"tick":-2,"frame":[[1]]}}"#,
+        r#"{"Tick":{"unit":1.0,"tick":2,"frame":[[1]]}}"#,
+        r#"{"Tick":[1,2,[[1]]]}"#,
+        "{\"Tick\":{\"unit\":1,\"tick\":2,\"frame\":[[1]]}}\u{0c}",
+        "\u{0c}{\"Tick\":{\"unit\":1,\"tick\":2,\"frame\":[[1]]}}",
+    ] {
+        assert_agrees(line);
+    }
+    // Rows around and past the direct reader's stack buffer.
+    for width in [63usize, 64, 65, 130] {
+        let row: Vec<String> = (0..width).map(|i| format!("{i}.25")).collect();
+        let line = format!(
+            "{{\"Tick\":{{\"unit\":1,\"tick\":2,\"frame\":[[{0}],[],[{0},null]]}}}}",
+            row.join(",")
+        );
+        assert_agrees(&line);
+        match decode_request(&line).expect("wide rows decode") {
+            Request::Tick { frame, .. } => {
+                assert_eq!(
+                    frame.iter().map(Vec::len).collect::<Vec<_>>(),
+                    [width, 0, width + 1]
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}

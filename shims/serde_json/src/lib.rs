@@ -231,18 +231,32 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 code point.
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| Error::new("invalid UTF-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape,
+                // validating it once. Both delimiters are ASCII, so the
+                // run never splits a UTF-8 code point.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(rest.len());
+                let text =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| Error::new("invalid UTF-8"))?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Scans one JSON number token starting at `bytes[*pos]` and advances
+/// `pos` past it. Integer tokens become `I64`, then `U64` when they do
+/// not fit, and everything else `F64`. The generic parser and the serve
+/// crate's direct `Tick` decoder share this scanner, so both read every
+/// number to the same bits.
+///
+/// # Errors
+/// No number at `pos`, or a token Rust's float parser rejects.
+pub fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -355,6 +369,42 @@ mod tests {
         assert!(from_str::<Value>("[1,2").is_err());
         assert!(from_str::<Value>("12x").is_err());
         assert!(from_str::<Value>("").is_err());
+    }
+
+    #[test]
+    fn strings_with_escapes_and_multibyte_text() {
+        let text = r#"["plain","a\"b\\c\/d\n","héllo ✓ 𝄞","éx",""]"#;
+        let v: Vec<String> = from_str(text).unwrap();
+        assert_eq!(v, ["plain", "a\"b\\c/d\n", "héllo ✓ 𝄞", "éx", ""]);
+    }
+
+    #[test]
+    fn invalid_utf8_in_string_is_an_error() {
+        // `from_str` only sees valid `&str`; the byte-level parser must
+        // still refuse a run that is not UTF-8.
+        for bytes in [&b"\"ab\xffcd\""[..], b"\"\xc3\"", b"\"ok\\n\xe2\x82\""] {
+            let mut pos = 0;
+            let err = parse_value(bytes, &mut pos).unwrap_err();
+            assert_eq!(err.to_string(), "json error: invalid UTF-8", "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn number_tokens_keep_integer_width() {
+        let scan = |text: &str| {
+            let mut pos = 0;
+            let v = parse_number(text.as_bytes(), &mut pos).unwrap();
+            (v, pos)
+        };
+        assert_eq!(scan("-0,"), (Value::I64(0), 2));
+        assert_eq!(scan("18446744073709551615]"), (Value::U64(u64::MAX), 20));
+        assert_eq!(
+            scan("18446744073709551616"),
+            (Value::F64(1.8446744073709552e19), 20)
+        );
+        assert_eq!(scan("2.5e-3"), (Value::F64(0.0025), 6));
+        assert!(parse_number(b"-", &mut 0).is_err());
+        assert!(parse_number(b"x", &mut 0).is_err());
     }
 
     #[test]

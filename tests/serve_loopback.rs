@@ -660,3 +660,105 @@ fn subscriber_receives_the_verdict_stream() {
     handle.stop();
     join.join().expect("server thread");
 }
+
+#[test]
+fn pipelined_burst_acks_stay_in_request_order_before_control_replies() {
+    use dbcatcher::serve::protocol::{decode_response, encode, RejectReason, Request, Response};
+    use std::io::{BufRead, BufReader, Write};
+
+    let UnitFixture {
+        frames,
+        participation,
+        dbs,
+        kpis,
+    } = unit_frames(13);
+    // A tiny queue and a slow shard: the burst outruns `queue_cap`, so
+    // later ticks bounce with backpressure inside the same read chunk.
+    let queue_cap = 4usize;
+    let (addr, handle, join) = spawn_server(ServeConfig {
+        queue_cap,
+        shards: 1,
+        slow_tick: Some(Duration::from_millis(20)),
+        ..ServeConfig::default()
+    });
+    let mut conn = std::net::TcpStream::connect(addr).expect("connect");
+    let mut replies = BufReader::new(conn.try_clone().expect("clone"));
+    let mut next_reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("reply");
+        decode_response(&line).expect("well-formed reply")
+    };
+
+    let hello = Request::Hello {
+        unit: 0,
+        dbs,
+        kpis,
+        participation: Some(participation),
+    };
+    conn.write_all(format!("{}\n", encode(&hello)).as_bytes())
+        .expect("hello");
+    assert!(matches!(next_reply(), Response::HelloAck { unit: 0, .. }));
+
+    // N ticks, Flush, Stats and a malformed line, all in one write.
+    let n = 40usize;
+    let mut burst = String::new();
+    for (tick, frame) in frames.iter().take(n).enumerate() {
+        let line = encode(&Request::Tick {
+            unit: 0,
+            tick: tick as u64,
+            frame: frame.clone(),
+        });
+        burst.push_str(&line);
+        burst.push('\n');
+    }
+    for request in [Request::Flush { unit: 0 }, Request::Stats] {
+        burst.push_str(&encode(&request));
+        burst.push('\n');
+    }
+    burst.push_str("{\"Tick\":{\"unit\":0,\"tick\":\n");
+    conn.write_all(burst.as_bytes()).expect("burst");
+
+    // Replies in arrival order, verdicts aside (they are asynchronous).
+    let mut order = Vec::new();
+    let (mut flush_at, mut stats_at, mut error_at) = (None, None, None);
+    while flush_at.is_none() || stats_at.is_none() || error_at.is_none() {
+        match next_reply() {
+            Response::Verdict { .. } => continue,
+            Response::FlushAck { unit: 0, .. } => flush_at = Some(order.len()),
+            Response::Stats(_) => stats_at = Some(order.len()),
+            Response::Error { .. } => error_at = Some(order.len()),
+            Response::Accepted { unit: 0, tick } => order.push((tick, None)),
+            Response::Rejected {
+                unit: 0,
+                tick,
+                reason,
+                ..
+            } => order.push((tick, Some(reason))),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    // One reply per tick, in request order, all before any control reply.
+    let ticks: Vec<u64> = order.iter().map(|&(tick, _)| tick).collect();
+    assert_eq!(ticks, (0..n as u64).collect::<Vec<_>>());
+    assert_eq!(flush_at, Some(n), "FlushAck overtook a tick reply");
+    assert_eq!(stats_at, Some(n), "Stats overtook a tick reply");
+    assert_eq!(error_at, Some(n), "Error overtook a tick reply");
+    // The queue admitted the head of the burst, then bounced the first
+    // tick past it with backpressure — in its own slot.
+    assert_eq!(order[0], (0, None));
+    let first_reject = order
+        .iter()
+        .position(|&(_, reason)| reason.is_some())
+        .expect("the burst must overrun the queue");
+    assert!(first_reject >= 1, "the queue admits at least one tick");
+    assert_eq!(
+        order[first_reject].1,
+        Some(RejectReason::Backpressure),
+        "first bounce must be backpressure, got {:?}",
+        order[first_reject]
+    );
+
+    handle.stop();
+    join.join().expect("server thread");
+}

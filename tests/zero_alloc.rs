@@ -8,16 +8,35 @@
 //!
 //! The allocator below wraps `System` and counts every `alloc` /
 //! `realloc` / `alloc_zeroed` in this test binary (integration tests link
-//! their own binaries, so the counter never sees other suites).
+//! their own binaries, so the counter never sees other suites). The tests
+//! in this file take one lock so they never count each other.
+//!
+//! The same harness pins the serve path's tick decoder: decoding a wire
+//! `Tick` line costs one allocation per frame row plus one for the frame.
 
 use dbcatcher::core::config::{CorrelationBackend, DbCatcherConfig, DelayScan};
 use dbcatcher::core::pipeline::DbCatcher;
+use dbcatcher::serve::protocol::{decode_request, encode, Request};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations made by the current thread alone, for measurements
+    /// short enough that the test runner's own bookkeeping on another
+    /// thread could land inside them.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY AUDIT — one of the workspace's two sanctioned `unsafe` surfaces
 // (this file and its twin `crates/bench/benches/kcd.rs` are excluded from
@@ -30,22 +49,24 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 // handed out, and no unwinding crosses the allocator boundary. This impl
 // delegates every operation verbatim to `std::alloc::System` — the same
 // allocator the program would use anyway — and only increments a relaxed
-// atomic counter on the side. The counter cannot unwind, allocate, or
-// touch the pointer, so the entire safety obligation is inherited from
-// `System`, which upholds it by definition.
+// atomic counter and a const-initialised, destructor-free thread-local
+// `Cell` on the side. Neither counter can unwind, allocate, or touch the
+// pointer (`try_with` never registers a destructor for such a key), so the
+// entire safety obligation is inherited from `System`, which upholds it
+// by definition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -59,6 +80,16 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Serialises the tests of this binary: the counter is process-wide.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Healthy, correlated telemetry: every database follows the same
@@ -79,6 +110,7 @@ fn fill_frame(frame: &mut [Vec<f64>], kpis: usize, t: u64) {
 
 #[test]
 fn steady_state_tick_allocates_nothing() {
+    let _serial = exclusive();
     let dbs = 4usize;
     let kpis = 6usize;
     let config = DbCatcherConfig {
@@ -125,4 +157,41 @@ fn steady_state_tick_allocates_nothing() {
         "only {quiet_ticks} quiet ticks measured"
     );
     assert!(judging_ticks > 0, "windows never resolved — bad fixture");
+}
+
+#[test]
+fn tick_decode_allocates_one_per_row_plus_one() {
+    let _serial = exclusive();
+    // The paper's shape: 5 databases x 14 KPIs, with a gap and a bare
+    // integer sample so every token kind is on the path.
+    let (dbs, kpis) = (5usize, 14usize);
+    let mut frame: Vec<Vec<f64>> = vec![Vec::with_capacity(kpis); dbs];
+    for t in 0..32u64 {
+        fill_frame(&mut frame, kpis, t);
+        frame[1][3] = f64::NAN;
+        frame[2][0] = 7.0;
+        let line = encode(&Request::Tick {
+            unit: 3,
+            tick: t,
+            frame: frame.clone(),
+        });
+        let before = thread_allocations();
+        let decoded = decode_request(&line).expect("canonical tick line decodes");
+        let allocated = thread_allocations() - before;
+        match decoded {
+            Request::Tick {
+                unit: 3,
+                tick,
+                frame: back,
+            } if tick == t => {
+                assert_eq!(back.len(), dbs);
+                assert!(back.iter().all(|row| row.len() == kpis));
+            }
+            other => panic!("decoded {other:?}"),
+        }
+        assert!(
+            allocated <= dbs as u64 + 1,
+            "decoding a {dbs}x{kpis} tick allocated {allocated} times"
+        );
+    }
 }
