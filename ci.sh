@@ -10,22 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build --release (perfbench: its own workspace, so the build above skips it)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 cargo test -q --workspace
-
-echo "==> SIMD dispatch tiers: zero-alloc + kernel differential (scalar, best available)"
-BEST_TIER=scalar
-if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then
-  BEST_TIER=avx2
-elif grep -qw sse2 /proc/cpuinfo 2>/dev/null; then
-  BEST_TIER=sse2
-fi
-for TIER in scalar "$BEST_TIER"; do
-  echo "    DBCATCHER_SIMD=$TIER"
-  DBCATCHER_SIMD="$TIER" cargo test -q --test zero_alloc
-  DBCATCHER_SIMD="$TIER" cargo test -q --test simd_differential
-  [ "$BEST_TIER" = scalar ] && break
-done
 
 echo "==> fault-injection soak (fixed seed, all fault kinds)"
 cargo test --release -q --test fault_soak -- --ignored
@@ -53,8 +42,8 @@ BENCH_ALLOCS="$(mktemp)"
 BENCH_BASELINE="$(mktemp)"
 # the committed artifact is the regression baseline for this run
 cp BENCH_kcd.json "$BENCH_BASELINE"
-# no filter: covers kcd_backends plus the kcd_kernels (per-tier sweeps)
-# and kcd_batch (per-unit vs fleet-batched) groups in one pass
+# no filter: covers kcd_backends plus the kcd_kernels (oracle vs compiled
+# kernel) and kcd_batch (per-unit vs shared-arena) groups in one pass
 DBCATCHER_BENCH_FAST=1 DBCATCHER_BENCH_JSON="$BENCH_RAW" \
   DBCATCHER_BENCH_ALLOCS="$BENCH_ALLOCS" \
   cargo bench -p dbcatcher-bench --bench kcd

@@ -6,8 +6,10 @@
 //! Rules other than `no-unsafe` skip code under a test attribute
 //! (`#[cfg(test)]`, `#[cfg(all(test, …))]`, `#[test]`). Spans are found
 //! by token scanning: after a test attribute, the following item —
-//! through its matching `}` or terminating `;` — is exempt. `cfg(not(test))`
-//! is *not* exempt (that is production-only code).
+//! through its matching `}` or terminating `;` — is exempt, as is an
+//! attributed enum variant, struct field or match arm through its `,`
+//! (or up to the enclosing `}`). `cfg(not(test))` is *not* exempt (that
+//! is production-only code).
 //!
 //! ## Waivers
 //!
@@ -160,7 +162,7 @@ fn test_spans(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
             continue;
         }
         // Test attribute. Skip any further attributes, then consume the
-        // item: through its matching `}` or a `;` at depth 0.
+        // attributed item.
         let mut m = k + 1;
         while m + 1 < sig.len() && sig[m].kind == TokenKind::Punct(b'#') {
             let mut n = m + 1;
@@ -186,30 +188,57 @@ fn test_spans(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
             }
             m = n + 1;
         }
-        let mut brace = 0i32;
-        let mut end_tok = None;
+        // The attributed thing may be an item (ends at its block's `}` or
+        // a `;`), or an enum variant, struct field or match arm (ends at
+        // a `,`, or at the enclosing `}` when it is the last one). Angle
+        // brackets are counted only outside delimiters, so the commas of
+        // `fn f<A, B>() -> Result<(), E>` do not end the item early; `->`
+        // and `=>` are arrows, not closers.
+        let mut depth = 0i32;
+        let mut angle = 0i32;
+        let mut end = src.len();
+        let mut next = sig.len();
         let mut p = m;
         while p < sig.len() {
             match sig[p].kind {
-                TokenKind::Punct(b'{') => brace += 1,
-                TokenKind::Punct(b'}') => {
-                    brace -= 1;
-                    if brace == 0 {
-                        end_tok = Some(p);
+                TokenKind::Punct(b'<') if depth == 0 => angle += 1,
+                TokenKind::Punct(b'>')
+                    if depth == 0 && !matches!(sig[p - 1].kind, TokenKind::Punct(b'-' | b'=')) =>
+                {
+                    angle = (angle - 1).max(0);
+                }
+                TokenKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+                TokenKind::Punct(b')' | b']' | b'}') if depth == 0 => {
+                    end = sig[p].start;
+                    next = p;
+                    break;
+                }
+                TokenKind::Punct(close @ (b')' | b']' | b'}')) => {
+                    depth -= 1;
+                    if depth == 0 && close == b'}' {
+                        end = sig[p].end;
+                        next = p + 1;
                         break;
                     }
                 }
-                TokenKind::Punct(b';') if brace == 0 => {
-                    end_tok = Some(p);
+                // `;` never occurs inside generics, so a stray `<` (a
+                // comparison or shift) cannot carry the span past it.
+                TokenKind::Punct(b';') if depth == 0 => {
+                    end = sig[p].end;
+                    next = p + 1;
+                    break;
+                }
+                TokenKind::Punct(b',') if depth == 0 && angle == 0 => {
+                    end = sig[p].end;
+                    next = p + 1;
                     break;
                 }
                 _ => {}
             }
             p += 1;
         }
-        let end = end_tok.map_or(src.len(), |p| sig[p].end);
         spans.push((sig[attr_start_tok].start, end));
-        i = end_tok.map_or(sig.len(), |p| p + 1);
+        i = next;
     }
     spans
 }
@@ -524,6 +553,33 @@ mod tests {
         );
         assert_eq!(a.deny_count(), 1);
         assert_eq!(a.violations[0].line, 3);
+    }
+
+    #[test]
+    fn test_variant_and_arm_end_at_their_comma() {
+        let a = run(
+            "crates/core/src/pipeline.rs",
+            r#"
+enum Job {
+    Tick,
+    #[cfg(test)]
+    Wedge(u64),
+}
+fn prod(x: Option<u8>) -> u8 { x.expect("a") }
+fn arm(j: Job) -> u8 {
+    match j {
+        #[cfg(test)]
+        Job::Wedge(_) => Some(1).unwrap(),
+        Job::Tick => Some(2).expect("b"),
+    }
+}
+#[cfg(test)]
+fn helper<A, B>() -> Result<(), (A, B)> { None::<u8>.unwrap(); Ok(()) }
+fn after() { None::<u8>.unwrap(); }
+"#,
+        );
+        let lines: Vec<u32> = a.violations.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![7, 12, 17], "{:?}", a.violations);
     }
 
     #[test]

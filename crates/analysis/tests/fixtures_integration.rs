@@ -21,7 +21,12 @@ include = ["fixtures/hot_alloc.rs", "fixtures/torture.rs"]
 
 [rules.panic-free]
 severity = "deny"
-include = ["fixtures/panics.rs", "fixtures/bad_waiver.rs", "fixtures/torture.rs"]
+include = [
+    "fixtures/panics.rs",
+    "fixtures/bad_waiver.rs",
+    "fixtures/cfg_test_commas.rs",
+    "fixtures/torture.rs",
+]
 
 [rules.slice-index]
 severity = "warn"
@@ -94,6 +99,22 @@ fn panics_fixture_exact_hits_and_waiver() {
 }
 
 #[test]
+fn cfg_test_variant_and_arm_do_not_hide_later_code() {
+    let a = run(vec![fixture(
+        "cfg_test_commas.rs",
+        include_str!("fixtures/cfg_test_commas.rs"),
+    )]);
+    assert_eq!(
+        hits(&a, "fixtures/cfg_test_commas.rs"),
+        vec![
+            ("panic-free".to_string(), 10), // .expect after the test variant
+            ("panic-free".to_string(), 17), // .expect after the test arm
+        ],
+        "a test-only variant or arm is exempt only through its `,`"
+    );
+}
+
+#[test]
 fn nondet_fixture_exact_hits() {
     let a = run(vec![fixture(
         "nondet.rs",
@@ -163,13 +184,18 @@ fn whole_fixture_set_summary() {
             include_str!("fixtures/unsafe_in_test.rs"),
         ),
         fixture("bad_waiver.rs", include_str!("fixtures/bad_waiver.rs")),
+        fixture(
+            "cfg_test_commas.rs",
+            include_str!("fixtures/cfg_test_commas.rs"),
+        ),
         fixture("torture.rs", include_str!("fixtures/torture.rs")),
     ]);
-    assert_eq!(a.files_scanned, 6);
+    assert_eq!(a.files_scanned, 7);
     assert_eq!(
         a.deny_count(),
-        11,
-        "2 alloc + 2 panic + 2 nondet + 1 unsafe + 4 waiver pathology"
+        13,
+        "2 alloc + 2 panic + 2 nondet + 1 unsafe + 4 waiver pathology \
+         + 2 after test-only variant/arm"
     );
     // The justification-less waiver suppresses its target line (so the
     // underlying hit is not double-reported) but is itself a deny-level

@@ -12,8 +12,8 @@ use dbcatcher_core::kcd::kcd;
 use dbcatcher_core::kcd_incremental::IncrementalCorrelator;
 use dbcatcher_core::queues::KpiQueues;
 use dbcatcher_core::scratch::TickScratch;
-use dbcatcher_core::simd::{self, SimdTier};
-use dbcatcher_core::{score_batch, DbCatcher, DbCatcherConfig};
+use dbcatcher_core::simd;
+use dbcatcher_core::{DbCatcher, DbCatcherConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,7 +24,7 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY AUDIT — one of the workspace's two sanctioned `unsafe` surfaces
 // (this file and its twin `tests/zero_alloc.rs` are excluded from
-// dbclint's `no-unsafe` rule; the other surface, the SIMD intrinsics in
+// dbclint's `no-unsafe` rule; the other surface, the SSE2 kernel in
 // `crates/core/src/simd.rs`, stays in scope with per-site waivers).
 //
 // `GlobalAlloc` is an unsafe trait because the allocator must uphold the
@@ -163,50 +163,46 @@ fn bench_backends(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-tier kernel sweeps: the raw lane dot product (the lag scan's
-/// inner loop) and a full pair-score lag scan, once per dispatch tier
-/// the host supports — scalar vs SSE2 vs AVX2 per-sweep nanoseconds.
+/// Kernel sweeps: the raw lane dot product (the lag scan's inner loop)
+/// for the portable oracle and for the kernel this target compiles, and
+/// a full pair-score lag scan on the compiled kernel.
 fn bench_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("kcd_kernels");
-    for &tier in SimdTier::supported() {
-        for &n in &[64usize, 300] {
-            let x = series(n, 0.0);
-            let y = series(n, 2.0);
-            group.bench_with_input(
-                BenchmarkId::new(format!("dot_{}", tier.name()), n),
-                &n,
-                |b, _| b.iter(|| simd::dot(tier, black_box(&x), black_box(&y))),
-            );
-        }
-        // One full lag scan at the acceptance config (k=300, m=5): the
-        // whole prepared sweep, not just the inner dot.
-        let (k, m, d) = (300usize, 5usize, 2usize);
-        let data: Vec<Vec<f64>> = (0..d).map(|db| series(4 * k, db as f64 * 1.7)).collect();
-        let mut engine = IncrementalCorrelator::new(d, 1, 2 * k).with_tier(tier);
-        let mut tick = 0usize;
-        while tick < 2 * k {
-            engine.push(
-                &data
-                    .iter()
-                    .map(|s| vec![s[tick % s.len()]])
-                    .collect::<Vec<_>>(),
-            );
-            tick += 1;
-        }
-        let start = engine.next_tick() - k as u64;
-        group.bench_with_input(
-            BenchmarkId::new(format!("pair_scan_{}", tier.name()), k),
-            &k,
-            |b, _| b.iter(|| engine.pair_score(0, 1, 0, black_box(start), k, m)),
+    for &n in &[64usize, 300] {
+        let x = series(n, 0.0);
+        let y = series(n, 2.0);
+        group.bench_with_input(BenchmarkId::new("dot_scalar", n), &n, |b, _| {
+            b.iter(|| simd::dot_scalar(black_box(&x), black_box(&y)))
+        });
+        group.bench_with_input(BenchmarkId::new("dot_compiled", n), &n, |b, _| {
+            b.iter(|| simd::dot(black_box(&x), black_box(&y)))
+        });
+    }
+    // One full lag scan at the acceptance config (k=300, m=5): the whole
+    // prepared sweep, not just the inner dot.
+    let (k, m, d) = (300usize, 5usize, 2usize);
+    let data: Vec<Vec<f64>> = (0..d).map(|db| series(4 * k, db as f64 * 1.7)).collect();
+    let mut engine = IncrementalCorrelator::new(d, 1, 2 * k);
+    for tick in 0..2 * k {
+        engine.push(
+            &data
+                .iter()
+                .map(|s| vec![s[tick % s.len()]])
+                .collect::<Vec<_>>(),
         );
     }
+    let start = engine.next_tick() - k as u64;
+    group.bench_with_input(BenchmarkId::new("pair_scan_compiled", k), &k, |b, _| {
+        b.iter(|| engine.pair_score(0, 1, 0, black_box(start), k, m))
+    });
     group.finish();
 }
 
-/// Fleet-batched vs per-unit scoring at 1/8/64 units: the same detector
+/// Per-unit vs shared-arena scoring at 1/8/64 units: the same detector
 /// ticks driven through `try_ingest_tick` (each unit re-warming its own
-/// arena) versus `score_batch` (one shared arena amortising the pooled
-/// batch matrices and staging buffers across the batch).
+/// arena) versus `try_ingest_tick_with` over one arena for all units, as
+/// a serve shard does (the pooled pair-memo matrices and staging buffers
+/// keep their capacity across units).
 fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("kcd_batch");
     const DBS: usize = 4;
@@ -264,9 +260,14 @@ fn bench_batch(c: &mut Criterion) {
             b.iter(|| {
                 let t = tick % total;
                 tick += 1;
-                let verdicts = score_batch(fleet.iter_mut(), black_box(&frames[t]), &mut scratch)
-                    .expect("well-shaped frames")
-                    .len();
+                let mut verdicts = 0usize;
+                for (u, catcher) in fleet.iter_mut().enumerate() {
+                    verdicts += catcher
+                        .try_ingest_tick_with(black_box(&frames[t][u]), &mut scratch)
+                        .expect("well-shaped frame")
+                        .verdicts
+                        .len();
+                }
                 black_box(verdicts)
             })
         });

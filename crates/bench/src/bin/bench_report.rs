@@ -129,8 +129,8 @@ fn run(
         return Err(format!("{raw_path}: no kcd_backends results"));
     }
 
-    // label shape: kcd_kernels/<op>_<tier>/<n> — per-sweep ns for the
-    // dispatch tiers (scalar vs sse2 vs avx2).
+    // label shape: kcd_kernels/<op>_<variant>/<n> — per-sweep ns for the
+    // portable oracle (`scalar`) and the kernel this target compiles.
     let mut kernels = Vec::new();
     // label shape: kcd_batch/<mode>/<units> — per-unit vs batched ticks.
     let mut batch: Vec<(String, Option<f64>, Option<f64>)> = Vec::new();
@@ -149,12 +149,12 @@ fn run(
                 let (Some(bench), Some(n)) = (parts.next(), parts.next()) else {
                     continue;
                 };
-                let Some((op, tier)) = bench.rsplit_once('_') else {
+                let Some((op, variant)) = bench.rsplit_once('_') else {
                     continue;
                 };
                 kernels.push(serde_json::json!({
                     "kernel": op,
-                    "tier": tier,
+                    "variant": variant,
                     "n": n,
                     "ns_per_iter": ns,
                 }));

@@ -27,19 +27,19 @@
 //! Numerical contract: scores are algebraically identical to
 //! [`crate::kcd::kcd_normalized`] but may differ in the last few ulps
 //! because moments are derived from prefix sums and the dot products run
-//! through the four-lane SIMD scheme of [`crate::simd`] (dispatch tier
-//! chosen at construction; every tier is bit-identical, see that
-//! module's contract). Whole-window constants take the exact convention
+//! through the four-lane SIMD scheme of [`crate::simd`] (one kernel per
+//! target, bit-identical to the portable oracle; see that module's
+//! contract). Whole-window constants take the exact convention
 //! branches (detected from the deques), and near-constant *segments*
 //! fall back to the exact two-pass formulation, so the degenerate
 //! conventions (constant-vs-constant = 1, constant-vs-varying = 0) are
 //! preserved bit-for-bit. The differential suite
 //! (`tests/differential.rs`, `tests/simd_differential.rs`) pins the
-//! backends to verdict-for-verdict equality and the dispatch tiers to
-//! bit equality.
+//! backends to verdict-for-verdict equality and the compiled kernel to
+//! bit equality with the oracle.
 
 use crate::queues::KpiQueues;
-use crate::simd::{self, SimdTier};
+use crate::simd;
 use std::collections::VecDeque;
 
 /// A segment's energy below `EPS_PER_POINT · len` is treated as
@@ -225,8 +225,6 @@ pub struct IncrementalCorrelator {
     states: Vec<SeriesState>,
     /// Total ticks ingested (== next absolute tick).
     len: u64,
-    /// Kernel dispatch tier, resolved once at construction.
-    tier: SimdTier,
 }
 
 impl IncrementalCorrelator {
@@ -248,24 +246,7 @@ impl IncrementalCorrelator {
                 // dbclint: allow(hot-path-alloc) — one-time per-series state slab at construction.
                 .collect(),
             len: 0,
-            tier: SimdTier::detect(),
         }
-    }
-
-    /// Overrides the kernel dispatch tier (differential tests, benches).
-    ///
-    /// # Panics
-    /// Panics when the host cannot execute `tier` — a forced tier must
-    /// never reach the intrinsic back-ends unguarded.
-    pub fn with_tier(mut self, tier: SimdTier) -> Self {
-        assert!(tier.is_supported(), "SIMD tier not supported on this host");
-        self.tier = tier;
-        self
-    }
-
-    /// The kernel dispatch tier this engine resolved at construction.
-    pub fn tier(&self) -> SimdTier {
-        self.tier
     }
 
     /// Rebuilds the engine from a queue snapshot by replaying its retained
@@ -428,23 +409,22 @@ impl IncrementalCorrelator {
         let mut best;
         let mut s;
         if max_s >= 2 {
-            let (c0, c1, c2, c3, c4) = lag_correlation_penta(self.tier, &sa.cache, &sb.cache, len);
+            let (c0, c1, c2, c3, c4) = lag_correlation_penta(&sa.cache, &sb.cache, len);
             best = c0.max(c1).max(c2).max(c3).max(c4);
             s = 3;
         } else {
-            best = lag_correlation(self.tier, &sa.cache, &sb.cache, 0, 0, len);
+            best = lag_correlation(&sa.cache, &sb.cache, 0, 0, len);
             s = 1;
         }
         // Remaining lags go two at a time — four direction chains per
         // memory sweep — with an odd final lag on the dual-chain pass.
         while s <= max_s && best < 1.0 {
             if s < max_s {
-                let (c1, c2, c3, c4) =
-                    lag_correlation_quad(self.tier, &sa.cache, &sb.cache, s, len - s);
+                let (c1, c2, c3, c4) = lag_correlation_quad(&sa.cache, &sb.cache, s, len - s);
                 best = best.max(c1).max(c2).max(c3).max(c4);
                 s += 2;
             } else {
-                let (c1, c2) = lag_correlation_pair(self.tier, &sa.cache, &sb.cache, s, len - s);
+                let (c1, c2) = lag_correlation_pair(&sa.cache, &sb.cache, s, len - s);
                 best = best.max(c1).max(c2);
                 s += 1;
             }
@@ -467,14 +447,7 @@ fn segment_moments(c: &NormCache, off: usize, len: usize) -> (f64, f64) {
 /// `y.norm[y_off..y_off + len]`, moments from prefix sums, one
 /// lane-parallel dot sweep ([`simd::dot`]). Falls back to the exact
 /// two-pass formula on degenerate segments.
-fn lag_correlation(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    x_off: usize,
-    y_off: usize,
-    len: usize,
-) -> f64 {
+fn lag_correlation(x: &NormCache, y: &NormCache, x_off: usize, y_off: usize, len: usize) -> f64 {
     let n = len as f64;
     let xs = &x.norm[x_off..x_off + len];
     let ys = &y.norm[y_off..y_off + len];
@@ -487,7 +460,7 @@ fn lag_correlation(
         // witness — defer to the naive formulation.
         return crate::kcd::centered_correlation(xs, ys);
     }
-    let dot = simd::dot(tier, xs, ys);
+    let dot = simd::dot(xs, ys);
     let centered = dot - n * mx * my;
     (centered / (nx.sqrt() * ny.sqrt())).clamp(-1.0, 1.0)
 }
@@ -498,13 +471,7 @@ fn lag_correlation(
 /// keeping each chain's lane scheme — and therefore every score bit —
 /// identical to [`lag_correlation`] run twice. Either direction with a
 /// (near-)degenerate segment takes the exact-oracle path unchanged.
-fn lag_correlation_pair(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    s: usize,
-    len: usize,
-) -> (f64, f64) {
+fn lag_correlation_pair(x: &NormCache, y: &NormCache, s: usize, len: usize) -> (f64, f64) {
     let n = len as f64;
     let eps = EPS_PER_POINT * n;
     let (mx1, nx1) = segment_moments(x, s, len);
@@ -513,15 +480,15 @@ fn lag_correlation_pair(
     let (my2, ny2) = segment_moments(y, s, len);
     if nx1 <= eps || ny1 <= eps || nx2 <= eps || ny2 <= eps {
         return (
-            lag_correlation(tier, x, y, s, 0, len),
-            lag_correlation(tier, x, y, 0, s, len),
+            lag_correlation(x, y, s, 0, len),
+            lag_correlation(x, y, 0, s, len),
         );
     }
     let xa = &x.norm[s..s + len];
     let yb = &y.norm[..len];
     let xb = &x.norm[..len];
     let ya = &y.norm[s..s + len];
-    let (d1, d2) = simd::dot2(tier, xa, yb, xb, ya);
+    let (d1, d2) = simd::dot2(xa, yb, xb, ya);
     let c1 = ((d1 - n * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
     (c1, c2)
@@ -534,12 +501,7 @@ fn lag_correlation_pair(
 /// bit-identical to the unfused passes; any (near-)degenerate segment
 /// drops the whole step back to the narrower kernels. Requires
 /// `len >= 4`.
-fn lag_correlation_penta(
-    tier: SimdTier,
-    x: &NormCache,
-    y: &NormCache,
-    len: usize,
-) -> (f64, f64, f64, f64, f64) {
+fn lag_correlation_penta(x: &NormCache, y: &NormCache, len: usize) -> (f64, f64, f64, f64, f64) {
     let l1 = len - 1;
     let l2 = len - 2;
     let (n0, n1, n2) = (len as f64, l1 as f64, l2 as f64);
@@ -565,16 +527,16 @@ fn lag_correlation_penta(
         || nx4 <= eps2
         || ny4 <= eps2
     {
-        let c0 = lag_correlation(tier, x, y, 0, 0, len);
-        let (c1, c2) = lag_correlation_pair(tier, x, y, 1, l1);
-        let (c3, c4) = lag_correlation_pair(tier, x, y, 2, l2);
+        let c0 = lag_correlation(x, y, 0, 0, len);
+        let (c1, c2) = lag_correlation_pair(x, y, 1, l1);
+        let (c3, c4) = lag_correlation_pair(x, y, 2, l2);
         return (c0, c1, c2, c3, c4);
     }
     let xs = &x.norm[..len];
     let ys = &y.norm[..len];
-    let d0 = simd::dot(tier, xs, ys);
-    let (d1, d2) = simd::dot2(tier, &xs[1..], &ys[..l1], &xs[..l1], &ys[1..]);
-    let (d3, d4) = simd::dot2(tier, &xs[2..], &ys[..l2], &xs[..l2], &ys[2..]);
+    let d0 = simd::dot(xs, ys);
+    let (d1, d2) = simd::dot2(&xs[1..], &ys[..l1], &xs[..l1], &ys[1..]);
+    let (d3, d4) = simd::dot2(&xs[2..], &ys[..l2], &xs[..l2], &ys[2..]);
     let c0 = ((d0 - n0 * mx0 * my0) / (nx0.sqrt() * ny0.sqrt())).clamp(-1.0, 1.0);
     let c1 = ((d1 - n1 * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n1 * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
@@ -591,7 +553,6 @@ fn lag_correlation_penta(
 /// (near-)degenerate segment drops the whole step back to the
 /// dual-chain path.
 fn lag_correlation_quad(
-    tier: SimdTier,
     x: &NormCache,
     y: &NormCache,
     s: usize,
@@ -619,8 +580,8 @@ fn lag_correlation_quad(
         || nx4 <= eps2
         || ny4 <= eps2
     {
-        let (c1, c2) = lag_correlation_pair(tier, x, y, s, len);
-        let (c3, c4) = lag_correlation_pair(tier, x, y, s + 1, short);
+        let (c1, c2) = lag_correlation_pair(x, y, s, len);
+        let (c3, c4) = lag_correlation_pair(x, y, s + 1, short);
         return (c1, c2, c3, c4);
     }
     let xa = &x.norm[s..s + len];
@@ -629,8 +590,8 @@ fn lag_correlation_quad(
     let yb = &y.norm[..len];
     let xc = &x.norm[s + 1..s + 1 + short];
     let yd = &y.norm[s + 1..s + 1 + short];
-    let (d1, d2) = simd::dot2(tier, xa, yb, xb, ya);
-    let (d3, d4) = simd::dot2(tier, xc, &yb[..short], &xb[..short], yd);
+    let (d1, d2) = simd::dot2(xa, yb, xb, ya);
+    let (d3, d4) = simd::dot2(xc, &yb[..short], &xb[..short], yd);
     let c1 = ((d1 - n1 * mx1 * my1) / (nx1.sqrt() * ny1.sqrt())).clamp(-1.0, 1.0);
     let c2 = ((d2 - n1 * mx2 * my2) / (nx2.sqrt() * ny2.sqrt())).clamp(-1.0, 1.0);
     let c3 = ((d3 - n2 * mx3 * my3) / (nx3.sqrt() * ny3.sqrt())).clamp(-1.0, 1.0);
@@ -815,13 +776,11 @@ mod tests {
             cy.extend(&raw_y);
             for s in 1..len.saturating_sub(1) {
                 let seg = len - s;
-                for &tier in SimdTier::supported() {
-                    let (c1, c2) = lag_correlation_pair(tier, &cx, &cy, s, seg);
-                    let r1 = lag_correlation(tier, &cx, &cy, s, 0, seg);
-                    let r2 = lag_correlation(tier, &cx, &cy, 0, s, seg);
-                    assert_eq!(c1.to_bits(), r1.to_bits(), "{tier:?} len {len} s {s} dir 1");
-                    assert_eq!(c2.to_bits(), r2.to_bits(), "{tier:?} len {len} s {s} dir 2");
-                }
+                let (c1, c2) = lag_correlation_pair(&cx, &cy, s, seg);
+                let r1 = lag_correlation(&cx, &cy, s, 0, seg);
+                let r2 = lag_correlation(&cx, &cy, 0, s, seg);
+                assert_eq!(c1.to_bits(), r1.to_bits(), "len {len} s {s} dir 1");
+                assert_eq!(c2.to_bits(), r2.to_bits(), "len {len} s {s} dir 2");
             }
         }
     }
@@ -851,31 +810,13 @@ mod tests {
             cy.extend(&raw_y);
             for s in 1..len.saturating_sub(2) {
                 let seg = len - s;
-                for &tier in SimdTier::supported() {
-                    let (q1, q2, q3, q4) = lag_correlation_quad(tier, &cx, &cy, s, seg);
-                    let (p1, p2) = lag_correlation_pair(tier, &cx, &cy, s, seg);
-                    let (p3, p4) = lag_correlation_pair(tier, &cx, &cy, s + 1, seg - 1);
-                    assert_eq!(
-                        q1.to_bits(),
-                        p1.to_bits(),
-                        "{tier:?} len {len} s {s} lag s dir 1"
-                    );
-                    assert_eq!(
-                        q2.to_bits(),
-                        p2.to_bits(),
-                        "{tier:?} len {len} s {s} lag s dir 2"
-                    );
-                    assert_eq!(
-                        q3.to_bits(),
-                        p3.to_bits(),
-                        "{tier:?} len {len} s {s} lag s+1 dir 1"
-                    );
-                    assert_eq!(
-                        q4.to_bits(),
-                        p4.to_bits(),
-                        "{tier:?} len {len} s {s} lag s+1 dir 2"
-                    );
-                }
+                let (q1, q2, q3, q4) = lag_correlation_quad(&cx, &cy, s, seg);
+                let (p1, p2) = lag_correlation_pair(&cx, &cy, s, seg);
+                let (p3, p4) = lag_correlation_pair(&cx, &cy, s + 1, seg - 1);
+                assert_eq!(q1.to_bits(), p1.to_bits(), "len {len} s {s} lag s dir 1");
+                assert_eq!(q2.to_bits(), p2.to_bits(), "len {len} s {s} lag s dir 2");
+                assert_eq!(q3.to_bits(), p3.to_bits(), "len {len} s {s} lag s+1 dir 1");
+                assert_eq!(q4.to_bits(), p4.to_bits(), "len {len} s {s} lag s+1 dir 2");
             }
         }
     }
@@ -902,52 +843,39 @@ mod tests {
             cy.hi = hi_y;
             cx.extend(&raw_x);
             cy.extend(&raw_y);
-            for &tier in SimdTier::supported() {
-                let (c0, c1, c2, c3, c4) = lag_correlation_penta(tier, &cx, &cy, len);
-                let r0 = lag_correlation(tier, &cx, &cy, 0, 0, len);
-                let (r1, r2) = lag_correlation_pair(tier, &cx, &cy, 1, len - 1);
-                let (r3, r4) = lag_correlation_pair(tier, &cx, &cy, 2, len - 2);
-                assert_eq!(c0.to_bits(), r0.to_bits(), "{tier:?} len {len} lag 0");
-                assert_eq!(c1.to_bits(), r1.to_bits(), "{tier:?} len {len} lag 1 dir 1");
-                assert_eq!(c2.to_bits(), r2.to_bits(), "{tier:?} len {len} lag 1 dir 2");
-                assert_eq!(c3.to_bits(), r3.to_bits(), "{tier:?} len {len} lag 2 dir 1");
-                assert_eq!(c4.to_bits(), r4.to_bits(), "{tier:?} len {len} lag 2 dir 2");
-            }
+            let (c0, c1, c2, c3, c4) = lag_correlation_penta(&cx, &cy, len);
+            let r0 = lag_correlation(&cx, &cy, 0, 0, len);
+            let (r1, r2) = lag_correlation_pair(&cx, &cy, 1, len - 1);
+            let (r3, r4) = lag_correlation_pair(&cx, &cy, 2, len - 2);
+            assert_eq!(c0.to_bits(), r0.to_bits(), "len {len} lag 0");
+            assert_eq!(c1.to_bits(), r1.to_bits(), "len {len} lag 1 dir 1");
+            assert_eq!(c2.to_bits(), r2.to_bits(), "len {len} lag 1 dir 2");
+            assert_eq!(c3.to_bits(), r3.to_bits(), "len {len} lag 2 dir 1");
+            assert_eq!(c4.to_bits(), r4.to_bits(), "len {len} lag 2 dir 2");
         }
     }
 
     #[test]
-    fn pair_score_is_bit_identical_across_tiers_and_batch_path() {
-        // One engine per supported dispatch tier over the same stream:
-        // every tier and both entry points (classic pair_score vs
-        // prepare + prepared) must agree bit for bit.
+    fn prepared_pair_scores_match_direct_ones() {
+        // Both entry points (classic pair_score vs prepare + prepared)
+        // must agree bit for bit.
         let mut next = lcg(31);
         let series: Vec<Vec<f64>> = (0..3)
             .map(|_| (0..100).map(|_| next() * 30.0 - 15.0).collect())
             .collect();
         let mask = [true, true, true];
-        let mut reference: Option<Vec<u64>> = None;
-        for &tier in SimdTier::supported() {
-            let mut engine = IncrementalCorrelator::new(3, 1, 140).with_tier(tier);
-            assert_eq!(engine.tier(), tier);
-            feed(&mut engine, &series, 100);
-            let mut bits = Vec::new();
-            for (start, len) in [(40u64, 60usize), (70, 30)] {
-                for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
-                    let direct = engine.pair_score(a, b, 0, start, len, 5);
-                    engine.prepare_windows(0, start, len, &mask);
-                    let prepared = engine.pair_score_prepared(a, b, 0, len, 5);
-                    assert_eq!(
-                        direct.to_bits(),
-                        prepared.to_bits(),
-                        "{tier:?} ({a},{b}) window ({start},{len}): batch path diverged"
-                    );
-                    bits.push(direct.to_bits());
-                }
-            }
-            match &reference {
-                None => reference = Some(bits),
-                Some(want) => assert_eq!(want, &bits, "{tier:?} diverged from first tier"),
+        let mut engine = IncrementalCorrelator::new(3, 1, 140);
+        feed(&mut engine, &series, 100);
+        for (start, len) in [(40u64, 60usize), (70, 30)] {
+            for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
+                let direct = engine.pair_score(a, b, 0, start, len, 5);
+                engine.prepare_windows(0, start, len, &mask);
+                let prepared = engine.pair_score_prepared(a, b, 0, len, 5);
+                assert_eq!(
+                    direct.to_bits(),
+                    prepared.to_bits(),
+                    "({a},{b}) window ({start},{len}): batch path diverged"
+                );
             }
         }
     }

@@ -41,7 +41,6 @@
 pub mod config;
 pub mod diagnosis;
 pub mod feedback;
-pub mod fleet;
 pub mod ga;
 pub mod ingest;
 pub mod kcd;
@@ -65,7 +64,6 @@ pub use diagnosis::{
     diagnose, root_cause, DeviationDirection, Diagnosis, RootCause, RootCauseFactor,
 };
 pub use feedback::{FeedbackModule, JudgmentRecord};
-pub use fleet::{score_batch, FleetDetector, FleetStats, FleetVerdict};
 pub use ga::{Genes, GeneticConfig};
 pub use ingest::{GapPolicy, IngestConfig, IngestError, IngestReport, TelemetryHealth};
 pub use kcd::kcd;
@@ -73,6 +71,5 @@ pub use kcd_incremental::IncrementalCorrelator;
 pub use levels::Level;
 pub use matrix::CorrelationMatrix;
 pub use pipeline::{ComponentTiming, DbCatcher, Verdict};
-pub use simd::SimdTier;
 pub use snapshot::{DetectorSnapshot, SnapshotSummary};
 pub use state::DbState;

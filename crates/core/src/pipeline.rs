@@ -270,11 +270,10 @@ impl DbCatcher {
     }
 
     /// [`Self::try_ingest_tick`] staging through a caller-owned
-    /// [`TickScratch`] arena — the batch entry point. A shard or fleet
-    /// worker that owns many detectors drives them all through one arena
-    /// per thread ([`crate::fleet::score_batch`]), so the pooled batch
-    /// matrices, staging buffers and score vectors stay warm across the
-    /// whole batch instead of per unit.
+    /// [`TickScratch`] arena. A serve shard that owns many detectors
+    /// drives them all through one arena per thread, so the staging
+    /// buffers, score vectors and the pooled pair-memo matrices keep
+    /// their capacity from unit to unit instead of warming per unit.
     ///
     /// # Errors
     /// Same contract as [`Self::try_ingest_tick`].
@@ -630,6 +629,43 @@ mod tests {
             delay_scan: DelayScan::Fixed(3),
             ..DbCatcherConfig::with_kpis(kpis)
         }
+    }
+
+    #[test]
+    fn shared_scratch_arena_leaks_no_state_across_units() {
+        // A serve shard drives all its detectors through one arena.
+        // Sharing it must not leak state between units: verdicts equal
+        // those of isolated detectors that each own their arena.
+        let units = [
+            unit_series(3, 3, 90, None),
+            unit_series(4, 3, 90, Some((1, 30..60))),
+            unit_series(3, 3, 90, Some((2, 50..80))),
+        ];
+        let frame = |u: usize, t: usize| -> Vec<Vec<f64>> {
+            units[u]
+                .iter()
+                .map(|kpis| kpis.iter().map(|s| s[t]).collect())
+                .collect()
+        };
+        let mut isolated: Vec<DbCatcher> = units
+            .iter()
+            .map(|s| DbCatcher::new(small_config(3), s.len()))
+            .collect();
+        let mut shared = isolated.clone();
+        let mut arena = TickScratch::new();
+        let mut abnormal = 0usize;
+        for t in 0..90 {
+            for u in 0..units.len() {
+                let want = isolated[u].ingest_tick(&frame(u, t));
+                let got = shared[u]
+                    .try_ingest_tick_with(&frame(u, t), &mut arena)
+                    .expect("clean frame")
+                    .verdicts;
+                assert_eq!(want, got, "unit {u} tick {t}");
+                abnormal += want.iter().filter(|v| v.state.is_abnormal()).count();
+            }
+        }
+        assert!(abnormal > 0, "no abnormal verdict: comparison too weak");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Reusable per-tick scratch buffers (the hot path's arena).
 //!
-//! Every [`crate::DbCatcher`] owns one [`TickScratch`] — and since serve
-//! shards and fleet workers each own their detectors, each shard/worker
-//! thread gets its own arena for free, with no sharing or locking.
+//! Every [`crate::DbCatcher`] owns one [`TickScratch`], and a serve shard
+//! drives all of its detectors through one more arena of its own
+//! ([`crate::DbCatcher::try_ingest_tick_with`]), so there is never any
+//! sharing or locking across threads.
 //!
 //! Ownership rules:
 //!

@@ -1,11 +1,10 @@
 //! Shard workers: the threads that own detector state.
 //!
 //! Units are independent (paper §IV-D4), so the daemon shards them across
-//! long-lived workers by `unit % shards` — the same partitioning as
-//! [`dbcatcher_core::fleet::FleetDetector`], but fed from bounded network
-//! ingress queues instead of a lock-step `ingest_tick` fan-out. Each
-//! worker owns the [`DbCatcher`] pipelines of its units; nothing else ever
-//! touches them, so no detector state is shared or locked.
+//! long-lived workers by `unit % shards`, each fed from a bounded network
+//! ingress queue. Each worker owns the [`DbCatcher`] pipelines of its
+//! units and drives them all through one [`TickScratch`] arena; nothing
+//! else ever touches them, so no detector state is shared or locked.
 //!
 //! Durability: when a WAL is configured, every accepted tick is appended
 //! to the shard's log *before* detection (see [`crate::wal`]), so a

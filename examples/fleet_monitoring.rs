@@ -1,13 +1,15 @@
-//! Fleet-scale monitoring with root-cause hints: many units detected in
-//! parallel (paper §IV-D4 runs 50 units), each alarm explained by the
-//! ranked deviating KPIs and a cause hypothesis (paper future work §V).
+//! Fleet-scale monitoring with root-cause hints: many independent units
+//! (paper §IV-D4 runs 50 units), one detector each, every alarm explained
+//! by the ranked deviating KPIs and a cause hypothesis (paper future work
+//! §V). The online daemon (`dbcatcher serve`) shards the same per-unit
+//! detectors across threads.
 //!
 //! ```bash
 //! cargo run --release --example fleet_monitoring
 //! ```
 
 use dbcatcher::core::diagnosis::diagnose;
-use dbcatcher::core::{DbCatcherConfig, FleetDetector};
+use dbcatcher::core::{ComponentTiming, DbCatcher, DbCatcherConfig, Verdict};
 use dbcatcher::sim::{interpret_cause, Kpi};
 use dbcatcher::workload::scenario::UnitScenario;
 
@@ -24,52 +26,38 @@ fn main() {
     let ticks = recordings.iter().map(|r| r.num_ticks()).min().unwrap();
 
     let config = DbCatcherConfig::default();
-    let unit_sizes: Vec<usize> = recordings.iter().map(|r| r.num_databases()).collect();
-    let masks: Vec<_> = recordings.iter().map(|r| r.participation.clone()).collect();
-    let mut fleet = FleetDetector::new(config.clone(), &unit_sizes, Some(masks), 0);
-    println!(
-        "monitoring {} units with {} worker threads\n",
-        fleet.num_units(),
-        fleet.num_workers()
-    );
+    let mut fleet: Vec<DbCatcher> = recordings
+        .iter()
+        .map(|r| {
+            DbCatcher::new(config.clone(), r.num_databases())
+                .with_participation(r.participation.clone())
+        })
+        .collect();
+    println!("monitoring {} units\n", fleet.len());
 
     let started = std::time::Instant::now();
     let mut alarms = 0;
     for t in 0..ticks {
-        let frames: Vec<_> = recordings.iter().map(|r| r.tick_matrix(t)).collect();
-        for fv in fleet.ingest_tick(&frames) {
-            if !fv.verdict.state.is_abnormal() {
-                continue;
-            }
-            alarms += 1;
-            let diagnosis = diagnose(&fv.verdict, &config);
-            let kpis: Vec<Kpi> = diagnosis
-                .deviations
-                .iter()
-                .map(|d| Kpi::from_index(d.kpi))
-                .collect();
-            let hint = interpret_cause(&kpis);
-            println!(
-                "unit {} db {} [{}..{}): {:?}",
-                fv.unit,
-                fv.verdict.db + 1,
-                fv.verdict.start_tick,
-                fv.verdict.end_tick,
-                hint
-            );
-            println!("   {}", hint.description());
-            for d in diagnosis.deviations.iter().take(3) {
-                println!(
-                    "   {} score {:.2} ({:?})",
-                    Kpi::from_index(d.kpi).name(),
-                    d.score,
-                    d.level
-                );
+        for (unit, (catcher, recording)) in fleet.iter_mut().zip(&recordings).enumerate() {
+            for verdict in catcher.ingest_tick(&recording.tick_matrix(t)) {
+                if !verdict.state.is_abnormal() {
+                    continue;
+                }
+                alarms += 1;
+                report_alarm(unit, &verdict, &config);
             }
         }
     }
-    let stats = fleet.finish();
-    let (avg_window, timing) = (stats.average_window_size, stats.timing);
+    let mut timing = ComponentTiming::default();
+    let (mut window_sum, mut verdicts) = (0.0, 0u64);
+    for catcher in &fleet {
+        let t = catcher.timing();
+        timing.correlation += t.correlation;
+        timing.observation += t.observation;
+        window_sum += catcher.average_window_size() * catcher.verdict_count() as f64;
+        verdicts += catcher.verdict_count();
+    }
+    let avg_window = window_sum / verdicts.max(1) as f64;
     println!(
         "\n{} alarms over {} unit-ticks in {:.2?}; avg window {:.1} ticks; \
          correlation {:.0}% / observation {:.0}% of detection time",
@@ -83,4 +71,32 @@ fn main() {
             / (timing.correlation + timing.observation).as_secs_f64(),
     );
     assert!(alarms >= 2, "both case studies must alarm");
+}
+
+/// Prints one abnormal verdict with its cause hypothesis and top KPIs.
+fn report_alarm(unit: usize, verdict: &Verdict, config: &DbCatcherConfig) {
+    let diagnosis = diagnose(verdict, config);
+    let kpis: Vec<Kpi> = diagnosis
+        .deviations
+        .iter()
+        .map(|d| Kpi::from_index(d.kpi))
+        .collect();
+    let hint = interpret_cause(&kpis);
+    println!(
+        "unit {} db {} [{}..{}): {:?}",
+        unit,
+        verdict.db + 1,
+        verdict.start_tick,
+        verdict.end_tick,
+        hint
+    );
+    println!("   {}", hint.description());
+    for d in diagnosis.deviations.iter().take(3) {
+        println!(
+            "   {} score {:.2} ({:?})",
+            Kpi::from_index(d.kpi).name(),
+            d.score,
+            d.level
+        );
+    }
 }

@@ -94,10 +94,15 @@ pub fn from_reader<R: std::io::Read, T: Deserialize>(mut reader: R) -> Result<T,
     from_str(&text)
 }
 
+/// Deepest array/object nesting the parser accepts (the real crate's
+/// default recursion limit). The parser recurses once per level, so the
+/// cap bounds its stack use on hostile input.
+const MAX_DEPTH: usize = 128;
+
 fn parse_value_complete(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(Error::new(format!("trailing data at byte {pos}")));
@@ -111,8 +116,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses one value; `depth` counts the arrays/objects enclosing it.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(Error::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         None => Err(Error::new("unexpected end of input")),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
@@ -128,7 +139,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -156,7 +167,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                     return Err(Error::new(format!("expected : at byte {pos}")));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -372,6 +383,24 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(from_str::<Value>(&nested(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // far past the cap, unterminated, inside an object: an error, not
+        // a stack overflow
+        let hostile = format!("{{\"Stats\":{}", "[".repeat(200_000));
+        assert!(from_str::<Value>(&hostile).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<Value>(&objects).is_err());
+    }
+
+    #[test]
     fn strings_with_escapes_and_multibyte_text() {
         let text = r#"["plain","a\"b\\c\/d\n","héllo ✓ 𝄞","éx",""]"#;
         let v: Vec<String> = from_str(text).unwrap();
@@ -384,7 +413,7 @@ mod tests {
         // still refuse a run that is not UTF-8.
         for bytes in [&b"\"ab\xffcd\""[..], b"\"\xc3\"", b"\"ok\\n\xe2\x82\""] {
             let mut pos = 0;
-            let err = parse_value(bytes, &mut pos).unwrap_err();
+            let err = parse_value(bytes, &mut pos, 0).unwrap_err();
             assert_eq!(err.to_string(), "json error: invalid UTF-8", "{bytes:?}");
         }
     }

@@ -1,186 +1,78 @@
 //! Differential tests for the SIMD lag-scan kernels.
 //!
-//! The dispatch tiers ([`SimdTier`]) share one four-lane accumulation
-//! scheme and are **bit-identical by construction** — stronger than the
-//! documented ≤ 4 ULP bound on raw correlation scores. These tests pin
-//! both layers of that contract:
+//! `core::simd` compiles one kernel per target (SSE2 on `x86_64`, the
+//! portable four-lane code elsewhere). It shares one accumulation scheme
+//! with the public portable oracle and is **bit-identical to it by
+//! construction**. These tests pin both layers of that contract:
 //!
-//! 1. property tests force every tier the host supports and assert the
-//!    raw pair scores agree (bitwise, and within the ULP bound as the
-//!    portable contract), agree with the naive oracle within 1e-9, and
-//!    quantise to identical [`Level`]s;
-//! 2. the golden and faulted-golden verdict streams must come out
-//!    byte-identical under `DBCATCHER_SIMD=<tier>` for every supported
-//!    tier — the committed golden files are the cross-tier anchor.
+//! 1. `simd::dot`/`dot2` equal the oracle bit for bit at every length in
+//!    `0..=300`, which covers every tail length at every block count the
+//!    lag scan meets;
+//! 2. the lag scan built on them agrees with the naive whole-window KCD
+//!    oracle within the cross-implementation tolerance.
+//!
+//! The committed golden verdict streams (`tests/golden.rs`) anchor the
+//! end-to-end behaviour of the one kernel.
 
 use dbcatcher::core::kcd::kcd;
 use dbcatcher::core::kcd_incremental::IncrementalCorrelator;
-use dbcatcher::core::levels::score_to_level;
-use dbcatcher::core::simd::SimdTier;
-use dbcatcher::core::{DbCatcher, DbCatcherConfig, GapPolicy};
-use dbcatcher::workload::scenario::UnitScenario;
+use dbcatcher::core::simd;
 use proptest::prelude::*;
-use std::path::Path;
 
-/// ULP distance between two finite doubles (monotone bit-pattern map).
-fn ulp_distance(a: f64, b: f64) -> u128 {
-    fn ord(x: f64) -> i64 {
-        let bits = x.to_bits() as i64;
-        if bits < 0 {
-            i64::MIN - bits
-        } else {
-            bits
-        }
-    }
-    (i128::from(ord(a)) - i128::from(ord(b))).unsigned_abs()
-}
-
-/// Documented portable bound on raw correlation scores across tiers.
-const ULP_BOUND: u128 = 4;
-
-/// Streams `x`/`y` through one engine per supported tier and returns the
-/// suffix-window pair score each tier produced.
-fn scores_per_tier(x: &[f64], y: &[f64], len: usize, max_delay: usize) -> Vec<(SimdTier, f64)> {
-    let n = x.len();
-    SimdTier::supported()
-        .iter()
-        .map(|&tier| {
-            let mut engine = IncrementalCorrelator::new(2, 1, n.max(2)).with_tier(tier);
-            for t in 0..n {
-                engine.push(&[vec![x[t]], vec![y[t]]]);
-            }
-            let start = (n - len) as u64;
-            (tier, engine.pair_score(0, 1, 0, start, len, max_delay))
-        })
-        .collect()
-}
+/// Longest slice the kernel property checks; every shorter length is
+/// checked too.
+const MAX_LEN: usize = 300;
 
 fn series(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 8..max_len)
 }
 
-proptest! {
-    /// Every dispatch tier produces the same raw score as the scalar
-    /// tier — bit-identical in practice, and within the documented
-    /// ≤ 4 ULP portable bound — and quantises to the same level.
-    #[test]
-    fn tiers_agree_bitwise_and_within_ulp_bound(
-        x in series(64),
-        seed in 1u64..1_000_000,
-        len_frac in 0.3f64..1.0,
-        max_delay in 0usize..6,
-        alpha in 0.3f64..0.9,
-        theta in 0.05f64..0.3,
-    ) {
-        // Derive y from x with an LCG so the pair is correlated but not
-        // degenerate (constant windows take the convention branches).
-        let mut state = seed;
-        let y: Vec<f64> = x.iter().map(|v| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            v * 0.7 + ((state >> 33) as f64 / (1u64 << 31) as f64 - 0.5) * 1e3
-        }).collect();
-        let len = ((x.len() as f64 * len_frac) as usize).clamp(4, x.len());
+fn full(len: usize) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(-1e6f64..1e6, len..len + 1)
+}
 
-        let scored = scores_per_tier(&x, &y, len, max_delay);
-        let (_, scalar_score) = scored[0];
-        prop_assert_eq!(scored[0].0, SimdTier::Scalar);
-        for &(tier, score) in &scored[1..] {
-            prop_assert!(
-                ulp_distance(score, scalar_score) <= ULP_BOUND,
-                "{:?} raw score {} vs scalar {} exceeds {} ULP",
-                tier, score, scalar_score, ULP_BOUND
-            );
-            prop_assert_eq!(
-                score.to_bits(), scalar_score.to_bits(),
-                "{:?} not bit-identical to scalar: {} vs {}", tier, score, scalar_score
-            );
-            prop_assert_eq!(
-                score_to_level(score, alpha, theta),
-                score_to_level(scalar_score, alpha, theta),
-                "{:?} quantised to a different level", tier
-            );
+proptest! {
+    /// The compiled `dot` and `dot2` reproduce the portable oracle bit
+    /// for bit on every prefix length `0..=MAX_LEN` of random slices.
+    #[test]
+    fn dot_kernels_match_scalar_oracle_at_every_length(
+        x1 in full(MAX_LEN),
+        y1 in full(MAX_LEN),
+        x2 in full(MAX_LEN),
+        y2 in full(MAX_LEN),
+    ) {
+        for n in 0..=MAX_LEN {
+            let (a1, b1, a2, b2) = (&x1[..n], &y1[..n], &x2[..n], &y2[..n]);
+            let want1 = simd::dot_scalar(a1, b1);
+            let got = simd::dot(a1, b1);
+            prop_assert_eq!(got.to_bits(), want1.to_bits(), "dot at n={}: {} vs {}", n, got, want1);
+            let (o1, o2) = simd::dot2_scalar(a1, b1, a2, b2);
+            let (s1, s2) = simd::dot2(a1, b1, a2, b2);
+            prop_assert_eq!(s1.to_bits(), o1.to_bits(), "dot2 chain 1 at n={}", n);
+            prop_assert_eq!(s2.to_bits(), o2.to_bits(), "dot2 chain 2 at n={}", n);
+            prop_assert_eq!(o1.to_bits(), want1.to_bits(), "oracle dot2 vs dot at n={}", n);
         }
     }
 
-    /// Every tier agrees with the naive whole-window oracle within the
+    /// The lag scan agrees with the naive whole-window oracle within the
     /// cross-implementation tolerance (prefix-moment algebra vs direct
     /// recomputation — not a lane-order effect).
     #[test]
-    fn tiers_agree_with_naive_oracle(
+    fn lag_scan_agrees_with_naive_oracle(
         x in series(48),
         max_delay in 0usize..5,
     ) {
         let y: Vec<f64> = x.iter().map(|v| (v * 0.3).sin() * 100.0 + v * 0.5).collect();
-        let len = x.len();
+        let n = x.len();
+        let mut engine = IncrementalCorrelator::new(2, 1, n.max(2));
+        for t in 0..n {
+            engine.push(&[vec![x[t]], vec![y[t]]]);
+        }
+        let score = engine.pair_score(0, 1, 0, 0, n, max_delay);
         let oracle = kcd(&x, &y, max_delay);
-        for (tier, score) in scores_per_tier(&x, &y, len, max_delay) {
-            prop_assert!(
-                (score - oracle).abs() < 1e-9,
-                "{:?} diverged from naive oracle: {} vs {}", tier, score, oracle
-            );
-        }
-    }
-}
-
-/// One JSON line per verdict, as in `tests/golden.rs`.
-fn render_verdicts(scenario: &UnitScenario, config: DbCatcherConfig) -> String {
-    let data = scenario.generate();
-    let mut catcher =
-        DbCatcher::new(config, data.num_databases()).with_participation(data.participation.clone());
-    let mut out = String::new();
-    for t in 0..data.num_ticks() {
-        let report = catcher
-            .try_ingest_tick(&data.tick_matrix(t))
-            .expect("well-shaped frame");
-        for v in report.verdicts {
-            out.push_str(&serde_json::to_string(&v).expect("verdict serializes"));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-fn faulted_config() -> DbCatcherConfig {
-    let mut config = DbCatcherConfig::default();
-    config.ingest.gap_policy = GapPolicy::MarkMissing;
-    config.ingest.demote_ratio = 0.3;
-    config.ingest.health_window = 30;
-    config.ingest.readmit_after = 10;
-    config.ingest.stale_after = 12;
-    config
-}
-
-fn committed_golden(rel: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(rel);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
-}
-
-/// Forcing each supported dispatch tier via `DBCATCHER_SIMD` must leave
-/// the golden and faulted-golden verdict streams byte-identical to the
-/// committed files: detection behaviour cannot depend on which kernel
-/// the host dispatches to.
-#[test]
-fn golden_streams_are_byte_identical_on_every_dispatch_tier() {
-    let quickstart = UnitScenario::quickstart(7);
-    let faulted = UnitScenario::faulted_quickstart(7);
-    let want_quickstart = committed_golden("tests/golden/quickstart_verdicts.jsonl");
-    let want_faulted = committed_golden("tests/golden/faulted_verdicts.jsonl");
-    let had_override = std::env::var_os("DBCATCHER_SIMD");
-    for &tier in SimdTier::supported() {
-        std::env::set_var("DBCATCHER_SIMD", tier.name());
-        let rendered = render_verdicts(&quickstart, DbCatcherConfig::default());
-        assert!(
-            rendered == want_quickstart,
-            "{tier:?}: quickstart verdict stream diverged from the committed golden file"
+        prop_assert!(
+            (score - oracle).abs() < 1e-9,
+            "lag scan diverged from naive oracle: {} vs {}", score, oracle
         );
-        let rendered = render_verdicts(&faulted, faulted_config());
-        assert!(
-            rendered == want_faulted,
-            "{tier:?}: faulted verdict stream diverged from the committed golden file"
-        );
-    }
-    match had_override {
-        Some(v) => std::env::set_var("DBCATCHER_SIMD", v),
-        None => std::env::remove_var("DBCATCHER_SIMD"),
     }
 }
