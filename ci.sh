@@ -181,7 +181,21 @@ for _ in $(seq 1 100); do [ -s "$FLEET_DIR/port.txt" ] && break; sleep 0.1; done
 test -s "$FLEET_DIR/port.txt" || { echo "hierarchy: resumed serve never bound"; kill "$SERVE_PID"; exit 1; }
 ADDR="$(tr -d '\n' < "$FLEET_DIR/port.txt")"
 timeout 60 "$DBC" emit --connect "$ADDR" --data "$FLEET_DIR/ds.json" \
-  --out /dev/null --stop-server 2> "$FLEET_DIR/emit2b.log"
+  --out /dev/null 2> "$FLEET_DIR/emit2b.log" \
+  || { echo "hierarchy: emit to the resumed serve failed"; kill "$SERVE_PID"; exit 1; }
+# A snapshot format every boot rejects would still pass the diffs below:
+# the unit restarts fresh and the WAL replays its whole history. So no
+# unit may report refusing its snapshot.
+"$DBC" stats --connect "$ADDR" > "$FLEET_DIR/stats2b.json"
+if grep -qE "unreadable snapshot|invalid snapshot" "$FLEET_DIR/stats2b.json"; then
+  echo "hierarchy: the resumed serve refused a snapshot:"
+  cat "$FLEET_DIR/stats2b.json"
+  kill "$SERVE_PID"
+  exit 1
+fi
+# idempotent re-offer is a no-op, then a clean stop
+timeout 60 "$DBC" emit --connect "$ADDR" --data "$FLEET_DIR/ds.json" \
+  --out /dev/null --stop-server 2>> "$FLEET_DIR/emit2b.log"
 SHUTDOWN_OK=0
 for _ in $(seq 1 100); do
   if ! kill -0 "$SERVE_PID" 2>/dev/null; then SHUTDOWN_OK=1; break; fi

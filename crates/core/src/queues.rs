@@ -18,9 +18,10 @@
 
 /// Bounded per-(database, KPI) history of collected samples.
 ///
-/// Serialisation is hand-written to stay byte-compatible with the original
-/// nested `buffers[db][kpi]` snapshot shape, so snapshots written before
-/// the flat layout restore unchanged (and vice versa).
+/// Serialisation (in `queues_serde`) stores the retained history as one
+/// flat `samples` string of raw `f64` bits, 16 lowercase hex digits per
+/// sample, series by series (db-major, then KPI) and oldest first. The
+/// round trip is bit-exact for every value, NaN payloads included.
 #[derive(Debug, Clone)]
 pub struct KpiQueues {
     pub(crate) num_dbs: usize,
@@ -64,7 +65,7 @@ impl KpiQueues {
 
     /// Slab width per series: headroom past `capacity` so compaction runs
     /// once per `capacity` pushes, not on every push.
-    fn slab(&self) -> usize {
+    pub(crate) fn slab(&self) -> usize {
         self.capacity * 2
     }
 
@@ -164,8 +165,10 @@ impl KpiQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::VecDeque;
+    use crate::config::DbCatcherConfig;
+    use crate::pipeline::DbCatcher;
+    use crate::snapshot::DetectorSnapshot;
+    use proptest::prelude::*;
 
     fn frame(n_db: usize, n_kpi: usize, v: f64) -> Vec<Vec<f64>> {
         (0..n_db)
@@ -367,66 +370,139 @@ mod tests {
         );
     }
 
+    /// The exact v2 bytes of a 2x2x3 queue after four pushes (tick 0
+    /// evicted): header fields, then `samples` series by series (db-major,
+    /// then KPI), oldest first, each sample the 16 lowercase hex digits of
+    /// its bits. Any drift in the layout fails here.
     #[test]
-    fn serde_shape_matches_legacy_nested_layout() {
-        // Snapshots written by the pre-flat derive (nested
-        // `buffers[db][kpi]` of retained samples) must stay interchangeable
-        // in both directions, byte for byte.
-        #[derive(Serialize, Deserialize)]
-        struct LegacyQueues {
-            num_dbs: usize,
-            num_kpis: usize,
-            capacity: usize,
-            buffers: Vec<Vec<VecDeque<f64>>>,
-            base_tick: u64,
-            len: u64,
-        }
-
+    fn serde_v2_layout_is_pinned_byte_for_byte() {
         let mut q = KpiQueues::new(2, 2, 3);
-        let mut legacy = LegacyQueues {
-            num_dbs: 2,
-            num_kpis: 2,
-            capacity: 3,
-            buffers: vec![vec![VecDeque::new(); 2]; 2],
-            base_tick: 0,
-            len: 0,
-        };
-        for t in 0..8u64 {
-            let f = frame(2, 2, t as f64 + 0.25);
-            q.push(&f);
-            for (db, kpis) in f.iter().enumerate() {
-                for (k, &v) in kpis.iter().enumerate() {
-                    let buf = &mut legacy.buffers[db][k];
-                    buf.push_back(v);
-                    if buf.len() > legacy.capacity {
-                        buf.pop_front();
-                    }
-                }
-            }
-            legacy.len += 1;
-            legacy.base_tick = legacy.len.saturating_sub(legacy.capacity as u64);
+        for t in 0..4 {
+            q.push(&frame(2, 2, t as f64));
         }
-
-        let flat_json = serde_json::to_string(&q).expect("serialize flat");
-        let legacy_json = serde_json::to_string(&legacy).expect("serialize legacy");
-        assert_eq!(flat_json, legacy_json, "wire shape must be identical");
-
-        // and a legacy-produced snapshot restores into the flat layout
-        let back: KpiQueues = serde_json::from_str(&legacy_json).expect("parse legacy");
-        assert_eq!(
-            back.window(1, 1, back.base_tick(), 3),
-            q.window(1, 1, q.base_tick(), 3)
+        let expected = concat!(
+            r#"{"num_dbs":2,"num_kpis":2,"capacity":3,"base_tick":1,"len":4,"samples":""#,
+            // (db 0, kpi 0): 1, 2, 3
+            "3ff0000000000000",
+            "4000000000000000",
+            "4008000000000000",
+            // (db 0, kpi 1): 2, 3, 4
+            "4000000000000000",
+            "4008000000000000",
+            "4010000000000000",
+            // (db 1, kpi 0): 11, 12, 13
+            "4026000000000000",
+            "4028000000000000",
+            "402a000000000000",
+            // (db 1, kpi 1): 12, 13, 14
+            "4028000000000000",
+            "402a000000000000",
+            "402c000000000000",
+            r#""}"#,
         );
+        assert_eq!(serde_json::to_string(&q).expect("serialize"), expected);
+        let back: KpiQueues = serde_json::from_str(expected).expect("parse fixture");
+        assert_eq!(back.window(1, 0, 1, 3), Some(vec![11.0, 12.0, 13.0]));
+        assert_eq!(back.window(0, 1, 1, 3), Some(vec![2.0, 3.0, 4.0]));
     }
 
+    /// Bit patterns a decimal round trip would lose or that sit on
+    /// encoding edges.
+    const SPECIAL_BITS: [u64; 8] = [
+        0x7ff8_0000_0000_0000, // canonical quiet NaN
+        0x7ff0_0000_dead_beef, // signalling NaN with a payload
+        0xfff8_0000_0000_0001, // negative quiet NaN with a payload
+        0x7ff0_0000_0000_0000, // +inf
+        0xfff0_0000_0000_0000, // -inf
+        0x8000_0000_0000_0000, // -0.0
+        0x0000_0000_0000_0001, // smallest subnormal
+        0x000f_ffff_ffff_ffff, // largest subnormal
+    ];
+
+    proptest! {
+        /// Queues holding arbitrary bit patterns survive
+        /// `DetectorSnapshot::{to_json, from_json}` bitwise, and
+        /// re-encoding the restored queues reproduces the same document.
+        #[test]
+        fn snapshot_round_trips_arbitrary_bits_exactly(
+            dbs in 1usize..4,
+            kpis in 1usize..4,
+            capacity in 1usize..6,
+            ticks in 0usize..20,
+            words in prop::collection::vec(any::<u64>(), 1..48),
+            picks in prop::collection::vec(0usize..16, 1..48),
+        ) {
+            let mut q = KpiQueues::new(dbs, kpis, capacity);
+            let mut n = 0usize;
+            for _ in 0..ticks {
+                let frame: Vec<Vec<f64>> = (0..dbs)
+                    .map(|_| {
+                        (0..kpis)
+                            .map(|_| {
+                                n += 1;
+                                let bits = match picks[n % picks.len()] {
+                                    p if p < SPECIAL_BITS.len() => SPECIAL_BITS[p],
+                                    _ => words[n % words.len()],
+                                };
+                                f64::from_bits(bits)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                q.push(&frame);
+            }
+            let mut snapshot = DbCatcher::new(DbCatcherConfig::with_kpis(kpis), dbs).snapshot();
+            snapshot.queues = q.clone();
+            let json = snapshot.to_json().expect("serialize");
+            let back = DetectorSnapshot::from_json(&json).expect("parse").queues;
+            prop_assert_eq!(back.base_tick(), q.base_tick());
+            prop_assert_eq!(back.next_tick(), q.next_tick());
+            prop_assert_eq!(back.capacity(), q.capacity());
+            let retained = (q.next_tick() - q.base_tick()) as usize;
+            for db in 0..dbs {
+                for kpi in 0..kpis {
+                    let bits = |queues: &KpiQueues| -> Vec<u64> {
+                        queues
+                            .window_slice(db, kpi, q.base_tick(), retained)
+                            .expect("retained span")
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect()
+                    };
+                    prop_assert_eq!(bits(&back), bits(&q));
+                }
+            }
+            snapshot.queues = back;
+            prop_assert_eq!(snapshot.to_json().expect("re-serialize"), json);
+        }
+    }
+
+    /// Header fields that disagree with the payload, and a payload of the
+    /// wrong type, are refused. Hostile `samples` contents are covered at
+    /// the snapshot level (`snapshot::tests::hostile_samples_are_errors_not_panics`).
     #[test]
     fn serde_rejects_corrupt_snapshots() {
-        let mut q = KpiQueues::new(1, 1, 2);
-        q.push(&frame(1, 1, 0.0));
+        let mut q = KpiQueues::new(1, 2, 2);
+        q.push(&frame(1, 2, 0.5));
         let json = serde_json::to_string(&q).expect("serialize");
-        // truncate a retained sample out of the buffers array
-        let broken = json.replace("[[[0.0]]]", "[[[]]]");
-        assert_ne!(json, broken, "fixture must actually change");
-        assert!(serde_json::from_str::<KpiQueues>(&broken).is_err());
+        // (db 0, kpi 0) = 0.5, (db 0, kpi 1) = 1.5
+        let samples = "3fe00000000000003ff8000000000000";
+        assert!(json.contains(samples), "{json}");
+        let broken = [
+            json.replace(r#""num_kpis":2"#, r#""num_kpis":1"#),
+            json.replace(r#""num_dbs":1"#, r#""num_dbs":2"#),
+            json.replace(r#""len":1"#, r#""len":2"#),
+            json.replace(r#""capacity":2"#, r#""capacity":0"#),
+            json.replace(r#""base_tick":0"#, r#""base_tick":2"#),
+            json.replace(&format!("\"{samples}\""), "0"),
+            json.replace(&format!("\"{samples}\""), "null"),
+        ];
+        for doc in &broken {
+            assert_ne!(doc, &json, "fixture must actually change");
+            assert!(
+                serde_json::from_str::<KpiQueues>(doc).is_err(),
+                "accepted corrupt queues: {doc}"
+            );
+        }
     }
 }

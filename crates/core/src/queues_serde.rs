@@ -2,35 +2,75 @@
 //! `queues.rs` so the hot data-processing module stays allocation-free
 //! under `dbclint` (`hot-path-alloc` scopes whole files; serialisation
 //! legitimately allocates).
+//!
+//! The retained history is one flat `samples` string: every sample is 16
+//! lowercase hex digits of its `f64::to_bits()`, most significant digit
+//! first. Samples run series by series (db-major, then KPI), oldest first
+//! within a series. Raw bits make the round trip exact for every value,
+//! NaN payloads included, and cost a table-free nibble conversion instead
+//! of shortest-round-trip decimal printing.
+//!
+//! The decoder treats the document as untrusted disk input: the string
+//! length must match the declared shape exactly, only `[0-9a-f]` is
+//! accepted, and all access goes through iterators, so bad input is a
+//! [`DeError`], never a panic.
 
 use crate::queues::KpiQueues;
 use serde::{DeError, Deserialize, Serialize, Value};
 
+/// Hex digits per encoded sample.
+const DIGITS: usize = 16;
+
+/// The 16 lowercase hex digits of `bits`, most significant first.
+fn encode_bits(bits: u64) -> [u8; DIGITS] {
+    let mut out = [0u8; DIGITS];
+    let mut rest = bits;
+    for digit in out.iter_mut().rev() {
+        let nibble = (rest & 0xf) as u8;
+        *digit = if nibble < 10 {
+            b'0' + nibble
+        } else {
+            b'a' + nibble - 10
+        };
+        rest >>= 4;
+    }
+    out
+}
+
+/// Inverse of [`encode_bits`]; `None` on any byte outside `[0-9a-f]`
+/// (a leading `+`, which `u64::from_str_radix` would accept, included).
+fn decode_bits(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |acc, &b| {
+        let nibble = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(acc << 4 | u64::from(nibble))
+    })
+}
+
 impl Serialize for KpiQueues {
     fn to_value(&self) -> Value {
-        let retained = (self.len - self.base_tick) as usize;
-        let buffers: Vec<Value> = (0..self.num_dbs)
-            .map(|db| {
-                Value::Array(
-                    (0..self.num_kpis)
-                        .map(|k| {
-                            let w = self
-                                .window_slice(db, k, self.base_tick, retained)
-                                // dbclint: allow(panic-free) — `retained` comes from the queue's own base/len pair, so the span is addressable by construction; failure means snapshot corruption worth failing loud on.
-                                .expect("retained span is always addressable");
-                            Value::Array(w.iter().map(|v| v.to_value()).collect())
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
+        let retained = self.len.saturating_sub(self.base_tick) as usize;
+        let offset = self.base_tick.saturating_sub(self.phys_base) as usize;
+        let mut hex = Vec::with_capacity(self.num_dbs * self.num_kpis * retained * DIGITS);
+        // Walk the slabs directly: each series' retained span starts at
+        // the same physical offset, so no per-series window lookup.
+        for slab in self.data.chunks_exact(self.slab()) {
+            for v in slab.iter().skip(offset).take(retained) {
+                hex.extend_from_slice(&encode_bits(v.to_bits()));
+            }
+        }
+        // Only ASCII hex digits were written, so the default never applies.
+        let samples = String::from_utf8(hex).unwrap_or_default();
         Value::Object(vec![
             ("num_dbs".to_string(), self.num_dbs.to_value()),
             ("num_kpis".to_string(), self.num_kpis.to_value()),
             ("capacity".to_string(), self.capacity.to_value()),
-            ("buffers".to_string(), Value::Array(buffers)),
             ("base_tick".to_string(), self.base_tick.to_value()),
             ("len".to_string(), self.len.to_value()),
+            ("samples".to_string(), Value::Str(samples)),
         ])
     }
 }
@@ -45,39 +85,57 @@ impl Deserialize for KpiQueues {
         let num_dbs = usize::from_value(field("num_dbs")?)?;
         let num_kpis = usize::from_value(field("num_kpis")?)?;
         let capacity = usize::from_value(field("capacity")?)?;
-        let buffers = Vec::<Vec<Vec<f64>>>::from_value(field("buffers")?)?;
         let base_tick = u64::from_value(field("base_tick")?)?;
         let len = u64::from_value(field("len")?)?;
+        let samples = match field("samples")? {
+            Value::Str(s) => s.as_bytes(),
+            other => {
+                return Err(DeError::new(format!(
+                    "KpiQueues: `samples` must be a hex string, found {other:?}"
+                )))
+            }
+        };
         if num_dbs == 0 || num_kpis == 0 || capacity == 0 {
-            return Err(DeError::new(
-                "KpiQueues: dimensions must be positive".to_string(),
-            ));
+            return Err(DeError::new("KpiQueues: dimensions must be positive"));
         }
         let retained = len
             .checked_sub(base_tick)
-            .ok_or_else(|| DeError::new("KpiQueues: base_tick past len".to_string()))?
-            as usize;
-        if retained > capacity {
-            return Err(DeError::new(
-                "KpiQueues: retained span exceeds capacity".to_string(),
-            ));
+            .ok_or_else(|| DeError::new("KpiQueues: base_tick past len"))?;
+        if retained > capacity as u64 {
+            return Err(DeError::new("KpiQueues: retained span exceeds capacity"));
         }
-        if buffers.len() != num_dbs || buffers.iter().any(|db| db.len() != num_kpis) {
-            return Err(DeError::new("KpiQueues: buffer arity mismatch".to_string()));
+        let retained = retained as usize;
+        let too_large = || DeError::new("KpiQueues: dimensions overflow");
+        let series = num_dbs.checked_mul(num_kpis).ok_or_else(too_large)?;
+        let expected = series
+            .checked_mul(retained)
+            .and_then(|n| n.checked_mul(DIGITS))
+            .ok_or_else(too_large)?;
+        if samples.len() != expected {
+            return Err(DeError::new(format!(
+                "KpiQueues: `samples` holds {} bytes, expected {expected} \
+                 ({num_dbs} dbs x {num_kpis} kpis x {retained} retained x {DIGITS})",
+                samples.len()
+            )));
         }
-        let slab = capacity * 2;
-        let mut data = vec![0.0; num_dbs * num_kpis * slab];
-        for (db, kpis) in buffers.iter().enumerate() {
-            for (k, buf) in kpis.iter().enumerate() {
-                if buf.len() != retained {
-                    return Err(DeError::new(format!(
-                        "KpiQueues: series ({db},{k}) holds {} samples, expected {retained}",
-                        buf.len()
-                    )));
-                }
-                let o = (db * num_kpis + k) * slab;
-                data[o..o + retained].copy_from_slice(buf);
+        let slab = capacity.checked_mul(2).ok_or_else(too_large)?;
+        let total = series.checked_mul(slab).ok_or_else(too_large)?;
+        let mut data = Vec::new();
+        data.try_reserve_exact(total)
+            .map_err(|e| DeError::new(format!("KpiQueues: {total} samples: {e}")))?;
+        // The exact length check above guarantees each series gets exactly
+        // `retained` words from the shared iterator.
+        let mut words = samples.chunks_exact(DIGITS).enumerate();
+        for _ in 0..series {
+            for (n, word) in words.by_ref().take(retained) {
+                let bits = decode_bits(word).ok_or_else(|| {
+                    DeError::new(format!(
+                        "KpiQueues: sample {n} is not {DIGITS} lowercase hex digits"
+                    ))
+                })?;
+                data.push(f64::from_bits(bits));
             }
+            data.resize(data.len() + slab - retained, 0.0);
         }
         Ok(Self {
             num_dbs,

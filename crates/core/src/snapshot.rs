@@ -4,18 +4,64 @@
 //! the detector must resume exactly where it left off — including the
 //! ring-buffer history that pending (possibly expanded) windows will read,
 //! the window trackers, and the learned thresholds. [`DetectorSnapshot`]
-//! captures all of it as plain serde data.
+//! captures all of it as one JSON document.
+//!
+//! The document is **format 2**: a leading `"format": 2` tag, readable
+//! JSON for the configuration, trackers, health ledger and counters, and
+//! the [`KpiQueues`] history as one flat `samples` string of raw `f64`
+//! bits (16 lowercase hex digits per sample), which restores bit-exactly
+//! and encodes without decimal float formatting. Any other format,
+//! including the nested-layout files written before the tag existed, is
+//! rejected by [`DetectorSnapshot::from_json`] with an error naming the
+//! found and expected formats; there is no migration path. A daemon that
+//! meets such a file records it and starts the unit fresh, replaying the
+//! unit's WAL when one is configured.
 
 use crate::config::DbCatcherConfig;
 use crate::ingest::TelemetryHealth;
 use crate::pipeline::DbCatcher;
 use crate::queues::KpiQueues;
 use crate::window::WindowTracker;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+
+/// The snapshot layout version this build writes and accepts.
+pub const SNAPSHOT_FORMAT: u64 = 2;
+
+/// The `format` tag of a snapshot document: always [`SNAPSHOT_FORMAT`].
+///
+/// Deserialising any other value, or a document with no `format` field
+/// at all, fails with an error naming the found and expected formats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotFormat;
+
+impl Serialize for SnapshotFormat {
+    fn to_value(&self) -> Value {
+        SNAPSHOT_FORMAT.to_value()
+    }
+}
+
+impl Deserialize for SnapshotFormat {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        if u64::from_value(value) == Ok(SNAPSHOT_FORMAT) {
+            return Ok(SnapshotFormat);
+        }
+        // The derive hands a missing field over as `null`.
+        let found = match value {
+            Value::Null => "none".to_string(),
+            other => other.to_string(),
+        };
+        Err(DeError::new(format!(
+            "unsupported snapshot format {found}, expected {SNAPSHOT_FORMAT}"
+        )))
+    }
+}
 
 /// The complete persistent state of a [`DbCatcher`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectorSnapshot {
+    /// Layout version tag. Declared first, so a file in another format is
+    /// rejected on its version before any other field is read.
+    pub format: SnapshotFormat,
     /// Configuration, including learned thresholds.
     pub config: DbCatcherConfig,
     /// Number of databases monitored.
@@ -107,7 +153,9 @@ impl DetectorSnapshot {
     /// Restores a snapshot from JSON.
     ///
     /// # Errors
-    /// Returns the underlying parse error for malformed input.
+    /// Returns the underlying parse error for malformed input, and an
+    /// error naming the found and expected formats for a document that
+    /// is not [`SNAPSHOT_FORMAT`].
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(json)
     }
@@ -117,6 +165,7 @@ impl DbCatcher {
     /// Captures the detector's full persistent state.
     pub fn snapshot(&self) -> DetectorSnapshot {
         DetectorSnapshot {
+            format: SnapshotFormat,
             config: self.config().clone(),
             num_dbs: self.num_databases(),
             queues: self.queues_ref().clone(),
@@ -277,6 +326,115 @@ mod tests {
         let mut bad = good;
         bad.config.num_kpis = 7;
         assert!(bad.validate().is_err());
+    }
+
+    /// A real paper-shape snapshot (5 databases, 14 KPIs) a few ticks in,
+    /// plus its `samples` string.
+    fn five_db_snapshot(ticks: usize) -> (DetectorSnapshot, String) {
+        let mut catcher = DbCatcher::new(DbCatcherConfig::with_kpis(14), 5);
+        for f in &frames(ticks, 5, 14) {
+            let _ = catcher.ingest_tick(f);
+        }
+        let snapshot = catcher.snapshot();
+        let json = snapshot.to_json().expect("serialize");
+        (snapshot, json)
+    }
+
+    /// The hex payload of a format-2 document.
+    fn samples_of(json: &str) -> &str {
+        let start = json.find(r#""samples":""#).expect("samples field") + 11;
+        let len = json[start..].find('"').expect("closing quote");
+        &json[start..start + len]
+    }
+
+    /// The same document in the pre-format-2 layout: no `format` tag and
+    /// the history as nested decimal `buffers[db][kpi]`.
+    fn legacy_layout(snapshot: &DetectorSnapshot, json: &str) -> String {
+        let q = &snapshot.queues;
+        let retained = (q.next_tick() - q.base_tick()) as usize;
+        let buffers: Vec<Vec<Vec<f64>>> = (0..q.num_dbs())
+            .map(|db| {
+                (0..q.num_kpis())
+                    .map(|k| q.window(db, k, q.base_tick(), retained).expect("retained"))
+                    .collect()
+            })
+            .collect();
+        let nested = format!(r#""buffers":{}"#, serde_json::to_string(&buffers).unwrap());
+        json.replace(&format!(r#""samples":"{}""#, samples_of(json)), &nested)
+            .replacen(r#""format":2,"#, "", 1)
+    }
+
+    #[test]
+    fn format_tag_leads_and_other_formats_are_rejected_by_name() {
+        let (_, json) = five_db_snapshot(6);
+        assert!(json.starts_with(r#"{"format":2,"config":"#));
+        let cases = [
+            (r#""format":1,"#, "format 1, expected 2"),
+            (r#""format":3,"#, "format 3, expected 2"),
+            (r#""format":"2","#, r#"format "2", expected 2"#),
+            (r#""format":2.0,"#, "format 2.0, expected 2"),
+            ("", "format none, expected 2"),
+        ];
+        for (tag, needle) in cases {
+            let doc = json.replacen(r#""format":2,"#, tag, 1);
+            let err = DetectorSnapshot::from_json(&doc).unwrap_err().to_string();
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn legacy_nested_layout_is_rejected_not_migrated() {
+        let (snapshot, json) = five_db_snapshot(6);
+        let legacy = legacy_layout(&snapshot, &json);
+        assert!(legacy.contains(r#""buffers":[[["#), "{legacy}");
+        let err = DetectorSnapshot::from_json(&legacy)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("format none, expected 2"), "{err}");
+        // Even carrying the current tag, the nested history is not read.
+        let tagged = format!(r#"{{"format":2,{}"#, &legacy[1..]);
+        let err = DetectorSnapshot::from_json(&tagged)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("missing field `samples`"), "{err}");
+    }
+
+    #[test]
+    fn hostile_samples_are_errors_not_panics() {
+        let (_, json) = five_db_snapshot(6);
+        let samples = samples_of(&json);
+        assert_eq!(samples.len(), 5 * 14 * 6 * 16);
+        let with = |replacement: &str| json.replace(samples, replacement);
+        let hostile = [
+            with(&samples[1..]),                                          // odd length
+            with(&samples[16..]),                                         // one sample short
+            with(&format!("{samples}0000000000000000")),                  // one sample long
+            with(&samples.to_ascii_uppercase()),                          // uppercase digits
+            with(&format!("+{}", &samples[1..])),                         // `+` sign
+            with(&format!("{}g", &samples[..samples.len() - 1])),         // non-hex
+            with(&format!("\u{e9}{}", &samples[2..])), // multibyte, same byte count
+            with(""),                                  // empty
+            json.replace(&format!(r#","samples":"{samples}""#), ""), // missing field
+            json.replace(&format!("\"{samples}\""), r#"{"samples":[]}"#), // an object
+        ];
+        for doc in &hostile {
+            assert_ne!(doc, &json, "fixture must actually change");
+            assert!(DetectorSnapshot::from_json(doc).is_err());
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_real_snapshot_is_an_error() {
+        let (_, json) = five_db_snapshot(6);
+        assert!(json.is_ascii(), "byte prefixes must be valid &str");
+        assert!(DetectorSnapshot::from_json(&json).is_ok());
+        for end in 0..json.len() {
+            assert!(
+                DetectorSnapshot::from_json(&json[..end]).is_err(),
+                "accepted a {end}-byte prefix of a {}-byte snapshot",
+                json.len()
+            );
+        }
     }
 
     #[test]

@@ -11,12 +11,16 @@
 //!
 //! Fixed kill points run in the default suite; the 256-case sweep over
 //! arbitrary kill ticks is `#[ignore]`d and driven by `ci.sh` in release.
+//!
+//! The upgrade case rides along: a snapshot in the pre-format-2 nested
+//! layout is refused and the unit starts fresh while the daemon serves on.
 
 use dbcatcher_core::config::DbCatcherConfig;
 use dbcatcher_core::pipeline::{DbCatcher, Verdict};
 use dbcatcher_core::snapshot::DetectorSnapshot;
 use dbcatcher_serve::{
-    emit_surviving, wal, CrashSwitch, DetectionServer, EmitOptions, ServeConfig, UnitStream,
+    emit_surviving, fetch_stats, wal, CrashSwitch, DetectionServer, EmitOptions, ServeConfig,
+    UnitStream,
 };
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -193,6 +197,96 @@ fn kill_mid_stream_preserves_the_verdict_stream() {
 #[test]
 fn kill_past_the_first_verdict_window_preserves_state() {
     check_kill_resume(97);
+}
+
+/// Rewrites a format-2 snapshot into the pre-format-2 layout: no
+/// `format` tag and the history as nested decimal `buffers[db][kpi]`.
+fn legacy_layout(snapshot: &DetectorSnapshot) -> String {
+    let json = snapshot.to_json().expect("serialize");
+    let q = &snapshot.queues;
+    let retained = (q.next_tick() - q.base_tick()) as usize;
+    let buffers: Vec<Vec<Vec<f64>>> = (0..q.num_dbs())
+        .map(|db| {
+            (0..q.num_kpis())
+                .map(|k| q.window(db, k, q.base_tick(), retained).expect("retained"))
+                .collect()
+        })
+        .collect();
+    let start = json.find(r#""samples":""#).expect("samples field") + 11;
+    let samples = &json[start..start + json[start..].find('"').expect("closing quote")];
+    let nested = format!(
+        r#""buffers":{}"#,
+        serde_json::to_string(&buffers).expect("buffers")
+    );
+    json.replace(&format!(r#""samples":"{samples}""#), &nested)
+        .replacen(r#""format":2,"#, "", 1)
+}
+
+/// Upgrade behaviour: a snapshot left behind by a build that wrote the
+/// nested layout is refused, recorded against the unit, and the unit
+/// starts fresh; the daemon keeps serving it.
+#[test]
+fn legacy_layout_snapshot_starts_the_unit_fresh() {
+    let dir = scratch();
+    let mut old = DbCatcher::new(DbCatcherConfig::with_kpis(KPIS), DBS);
+    for t in 0..40 {
+        old.try_ingest_tick(&frame(t)).expect("clean frames");
+    }
+    let legacy = legacy_layout(&old.snapshot());
+    assert!(!legacy.contains(r#""format""#) && legacy.contains(r#""buffers":[[["#));
+    let planted = dir.join("unit_0.json");
+    std::fs::write(&planted, legacy).expect("plant legacy snapshot");
+
+    let config = ServeConfig {
+        max_units: 1,
+        shards: 1,
+        resume_dir: Some(dir.clone()),
+        ..ServeConfig::default()
+    };
+    let server = DetectionServer::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run());
+    let streams = vec![UnitStream {
+        unit: 0,
+        dbs: DBS,
+        kpis: KPIS,
+        participation: None,
+        frames: (0..TICKS).map(frame).collect(),
+    }];
+    let options = EmitOptions {
+        stop_after: false,
+        ..EmitOptions::default()
+    };
+    let report = emit_surviving(addr, streams, &options).expect("session connects");
+    let stats = fetch_stats(addr).expect("daemon still answers stats");
+    handle.stop();
+    thread.join().expect("server thread").expect("server run");
+
+    assert!(report.resumed.is_empty(), "resumed from a legacy snapshot");
+    assert_eq!(report.ticks_accepted, TICKS as u64, "whole stream served");
+    let mut online: Vec<Key> = report
+        .verdicts
+        .iter()
+        .map(|r| key(r.at_tick, &r.verdict))
+        .collect();
+    online.sort_unstable();
+    let mut offline: Vec<Key> = offline_verdicts().iter().map(|(t, v)| key(*t, v)).collect();
+    offline.sort_unstable();
+    assert_eq!(online, offline, "a fresh start detects like offline");
+    let unit = stats
+        .units
+        .iter()
+        .find(|u| u.unit == 0)
+        .expect("unit 0 stats");
+    let error = unit.last_error.as_deref().expect("the refusal is recorded");
+    assert!(
+        error.contains("unreadable snapshot")
+            && error.contains(&planted.display().to_string())
+            && error.contains("format none, expected 2"),
+        "{error}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -1,6 +1,6 @@
 //! Registry-free shim for the subset of `proptest` this workspace uses:
 //! the `proptest!` macro, `Strategy`, range and `prop::collection::vec`
-//! strategies, `any::<bool>()`, and the `prop_assert*` macros.
+//! strategies, `any::<bool>()`, `any::<u64>()`, and the `prop_assert*` macros.
 //!
 //! Differences from real proptest, deliberately accepted:
 //! * no shrinking — a failing case reports its iteration seed instead;
@@ -58,7 +58,7 @@ impl Strategy for std::ops::Range<u64> {
     }
 }
 
-/// Strategy for "any value of `T`" (the shim covers `bool`).
+/// Strategy for "any value of `T`" (the shim covers `bool` and `u64`).
 pub struct Any<T> {
     _marker: std::marker::PhantomData<T>,
 }
@@ -75,6 +75,14 @@ impl Strategy for Any<bool> {
 
     fn generate(&self, rng: &mut StdRng) -> bool {
         rng.gen_bool(0.5)
+    }
+}
+
+impl Strategy for Any<u64> {
+    type Value = u64;
+
+    fn generate(&self, rng: &mut StdRng) -> u64 {
+        rng.gen()
     }
 }
 

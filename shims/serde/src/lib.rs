@@ -20,6 +20,7 @@
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Write as _;
 
 /// An owned JSON-like data tree — the shim's entire data model.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +86,13 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            Value::I64(i) => out.push_str(&i.to_string()),
-            Value::U64(u) => out.push_str(&u.to_string()),
+            // Writing into a `String` cannot fail.
+            Value::I64(i) => {
+                let _ = write!(out, "{i}");
+            }
+            Value::U64(u) => {
+                let _ = write!(out, "{u}");
+            }
             Value::F64(f) => write_json_f64(*f, out),
             Value::Str(s) => write_json_string(s, out),
             Value::Array(items) => {
@@ -121,29 +127,42 @@ fn write_json_f64(f: f64, out: &mut String) {
         return;
     }
     // `{}` is Rust's shortest round-trip rendering; keep a trailing `.0`
-    // so the value re-parses as a float, matching serde_json.
-    let text = format!("{f}");
-    out.push_str(&text);
-    if !text.contains(['.', 'e', 'E']) {
+    // so the value re-parses as a float, matching serde_json. Formatting
+    // straight into `out` and checking only the appended bytes avoids a
+    // temporary `String` per number.
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Copy each run of unescaped text with one `push_str`. Every byte that
+    // needs escaping is ASCII, so `run` and `i` always sit on char
+    // boundaries and multibyte text passes through untouched.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(text) => out.push_str(text),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

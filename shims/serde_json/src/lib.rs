@@ -330,6 +330,7 @@ macro_rules! json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trip_basic_document() {
@@ -434,6 +435,87 @@ mod tests {
         assert_eq!(scan("2.5e-3"), (Value::F64(0.0025), 6));
         assert!(parse_number(b"-", &mut 0).is_err());
         assert!(parse_number(b"x", &mut 0).is_err());
+    }
+
+    /// The renderings the writers must keep byte for byte: `{}` plus a
+    /// trailing `.0` for floats, `{}` for integers, and the per-char
+    /// escape table for strings.
+    fn reference_float(f: f64) -> String {
+        if !f.is_finite() {
+            return "null".to_string();
+        }
+        let mut text = format!("{f}");
+        if !text.contains(['.', 'e', 'E']) {
+            text.push_str(".0");
+        }
+        text
+    }
+
+    fn reference_string(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    proptest! {
+        /// Floats render exactly as the reference and re-parse to the same
+        /// bits: random bit patterns plus subnormals, `-0.0`, the extremes
+        /// and integer-valued floats.
+        #[test]
+        fn floats_render_like_display_and_round_trip_bitwise(
+            bits in any::<u64>(),
+            pick in 0usize..8,
+        ) {
+            let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+            let f = match pick {
+                0 => -0.0,
+                1 => f64::MAX * sign,
+                2 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // subnormal
+                3 => (bits % (1 << 53)) as f64 * sign,             // integer-valued
+                4 => ((bits % 1_000_000) as f64) * sign,           // small integer
+                _ => f64::from_bits(bits),
+            };
+            let rendered = to_string(&f).unwrap();
+            prop_assert_eq!(&rendered, &reference_float(f));
+            if f.is_finite() {
+                let back: f64 = from_str(&rendered).unwrap();
+                prop_assert_eq!(back.to_bits(), f.to_bits(), "{} via {}", f, rendered);
+            }
+        }
+
+        /// Integers render as `{}` at full 64-bit width in both variants.
+        #[test]
+        fn integers_render_like_display(bits in any::<u64>()) {
+            prop_assert_eq!(to_string(&(bits as i64)).unwrap(), (bits as i64).to_string());
+            prop_assert_eq!(to_string(&bits).unwrap(), bits.to_string());
+        }
+
+        /// Strings escape exactly as the per-char reference, escapes and
+        /// multibyte text mixed in any order, and parse back unchanged.
+        #[test]
+        fn strings_render_like_the_escape_table(
+            picks in prop::collection::vec(0usize..14, 0..40),
+        ) {
+            const POOL: [&str; 14] = [
+                "a", "plain run ", "\"", "\\", "\n", "\r", "\t", "\u{1}", "\u{1f}",
+                "é", "€", "𝄞", "/", "\u{7f}",
+            ];
+            let s: String = picks.iter().map(|&i| POOL[i]).collect();
+            let rendered = to_string(&s).unwrap();
+            prop_assert_eq!(&rendered, &reference_string(&s));
+            prop_assert_eq!(from_str::<String>(&rendered).unwrap(), s);
+        }
     }
 
     #[test]
