@@ -52,33 +52,42 @@ DBCATCHER_BENCH_FAST=1 cargo run -q --release -p dbcatcher-bench --bin bench_rep
 rm -f "$BENCH_RAW" "$BENCH_ALLOCS" "$BENCH_BASELINE"
 test -s BENCH_kcd.json || { echo "BENCH_kcd.json missing or empty"; exit 1; }
 
-echo "==> serve loopback smoke (ephemeral port, 200 ticks)"
+echo "==> serve loopback smoke (ephemeral port, 200 ticks; clean, then with collector faults)"
 SMOKE_DIR="$(mktemp -d)"
 DBC=target/release/dbcatcher
 "$DBC" simulate --kind tencent --units 1 --ticks 200 --seed 11 --out "$SMOKE_DIR/ds.json"
-"$DBC" detect --data "$SMOKE_DIR/ds.json" --out "$SMOKE_DIR/offline.jsonl" \
-  2> "$SMOKE_DIR/detect.log"
-"$DBC" serve --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/port.txt" \
-  2> "$SMOKE_DIR/serve.log" &
-SERVE_PID=$!
-for _ in $(seq 1 100); do [ -s "$SMOKE_DIR/port.txt" ] && break; sleep 0.1; done
-test -s "$SMOKE_DIR/port.txt" || { echo "serve never bound"; kill "$SERVE_PID"; exit 1; }
-ADDR="$(tr -d '\n' < "$SMOKE_DIR/port.txt")"
-timeout 60 "$DBC" emit --connect "$ADDR" --data "$SMOKE_DIR/ds.json" \
-  --out "$SMOKE_DIR/online.jsonl" --stop-server 2> "$SMOKE_DIR/emit.log"
-# clean daemon shutdown within the timeout
-SHUTDOWN_OK=0
-for _ in $(seq 1 100); do
-  if ! kill -0 "$SERVE_PID" 2>/dev/null; then SHUTDOWN_OK=1; break; fi
-  sleep 0.1
+# The faulted pass sends null samples, gap-repaired frames and NaN scores
+# across the socket through the wire codec; both passes must match
+# offline detect byte for byte.
+for FAULTS in "" "--faults standard --fault-seed 7"; do
+  echo "    pass: ${FAULTS:-no faults}"
+  rm -f "$SMOKE_DIR/port.txt"
+  # shellcheck disable=SC2086 # FAULTS is a list of flags
+  "$DBC" detect --data "$SMOKE_DIR/ds.json" $FAULTS --out "$SMOKE_DIR/offline.jsonl" \
+    2> "$SMOKE_DIR/detect.log"
+  "$DBC" serve --listen 127.0.0.1:0 --port-file "$SMOKE_DIR/port.txt" \
+    2> "$SMOKE_DIR/serve.log" &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do [ -s "$SMOKE_DIR/port.txt" ] && break; sleep 0.1; done
+  test -s "$SMOKE_DIR/port.txt" || { echo "serve never bound"; kill "$SERVE_PID"; exit 1; }
+  ADDR="$(tr -d '\n' < "$SMOKE_DIR/port.txt")"
+  # shellcheck disable=SC2086
+  timeout 60 "$DBC" emit --connect "$ADDR" --data "$SMOKE_DIR/ds.json" $FAULTS \
+    --out "$SMOKE_DIR/online.jsonl" --stop-server 2> "$SMOKE_DIR/emit.log"
+  # clean daemon shutdown within the timeout
+  SHUTDOWN_OK=0
+  for _ in $(seq 1 100); do
+    if ! kill -0 "$SERVE_PID" 2>/dev/null; then SHUTDOWN_OK=1; break; fi
+    sleep 0.1
+  done
+  [ "$SHUTDOWN_OK" = 1 ] || { echo "serve did not shut down"; kill "$SERVE_PID"; exit 1; }
+  wait "$SERVE_PID"
+  # online verdict stream must match the offline golden stream exactly
+  diff "$SMOKE_DIR/offline.jsonl" "$SMOKE_DIR/online.jsonl" \
+    || { echo "loopback verdicts diverge from offline detect (${FAULTS:-no faults})"; exit 1; }
+  grep -q "abnormal verdict" "$SMOKE_DIR/emit.log" \
+    || { echo "emit reported no verdict count"; exit 1; }
 done
-[ "$SHUTDOWN_OK" = 1 ] || { echo "serve did not shut down"; kill "$SERVE_PID"; exit 1; }
-wait "$SERVE_PID"
-# online verdict stream must match the offline golden stream exactly
-diff "$SMOKE_DIR/offline.jsonl" "$SMOKE_DIR/online.jsonl" \
-  || { echo "loopback verdicts diverge from offline detect"; exit 1; }
-grep -q "abnormal verdict" "$SMOKE_DIR/emit.log" \
-  || { echo "emit reported no verdict count"; exit 1; }
 rm -rf "$SMOKE_DIR"
 
 echo "==> shard-failure recovery smoke (injected panic and wedge, WAL-backed)"

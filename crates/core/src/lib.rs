@@ -56,6 +56,7 @@ pub mod simd;
 pub mod snapshot;
 pub mod state;
 pub mod window;
+pub mod wire;
 
 pub use config::{
     ConfigError, CorrelationBackend, DbCatcherConfig, DelayScan, LevelAggregation, ResolvePolicy,

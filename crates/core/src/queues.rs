@@ -169,6 +169,7 @@ mod tests {
     use crate::pipeline::DbCatcher;
     use crate::snapshot::DetectorSnapshot;
     use proptest::prelude::*;
+    use serde::Serialize as _;
 
     fn frame(n_db: usize, n_kpi: usize, v: f64) -> Vec<Vec<f64>> {
         (0..n_db)
@@ -404,6 +405,39 @@ mod tests {
         let back: KpiQueues = serde_json::from_str(expected).expect("parse fixture");
         assert_eq!(back.window(1, 0, 1, 3), Some(vec![11.0, 12.0, 13.0]));
         assert_eq!(back.window(0, 1, 1, 3), Some(vec![2.0, 3.0, 4.0]));
+    }
+
+    /// The direct snapshot writer emits exactly the bytes of the generic
+    /// `Value` tree, for queues before, at and past their first eviction
+    /// and across more than one hex push buffer.
+    #[test]
+    fn direct_snapshot_writer_matches_value_tree() {
+        for (dbs, kpis, capacity, ticks) in [
+            (1, 1, 1, 0),
+            (2, 2, 3, 2),
+            (2, 3, 70, 150),
+            (5, 14, 120, 300),
+        ] {
+            let mut q = KpiQueues::new(dbs, kpis, capacity);
+            for t in 0..ticks {
+                q.push(&frame(dbs, kpis, t as f64 * 0.37 - 11.0));
+            }
+            let direct = serde_json::to_string(&q).expect("serialize");
+            assert_eq!(
+                direct,
+                q.to_value().to_string(),
+                "{dbs}x{kpis} cap {capacity} after {ticks}"
+            );
+            let mut catcher = DbCatcher::new(DbCatcherConfig::with_kpis(kpis), dbs);
+            for t in 0..ticks {
+                let _ = catcher.try_ingest_tick(&frame(dbs, kpis, (t % 17) as f64));
+            }
+            let snapshot = catcher.snapshot();
+            assert_eq!(
+                snapshot.to_json().expect("serialize"),
+                snapshot.to_value().to_string()
+            );
+        }
     }
 
     /// Bit patterns a decimal round trip would lose or that sit on

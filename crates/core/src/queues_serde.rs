@@ -7,8 +7,9 @@
 //! lowercase hex digits of its `f64::to_bits()`, most significant digit
 //! first. Samples run series by series (db-major, then KPI), oldest first
 //! within a series. Raw bits make the round trip exact for every value,
-//! NaN payloads included, and cost a table-free nibble conversion instead
-//! of shortest-round-trip decimal printing.
+//! NaN payloads included, and cost one table lookup per byte instead of
+//! shortest-round-trip decimal printing. [`Serialize::write_json`] writes
+//! that hex straight into the output document.
 //!
 //! The decoder treats the document as untrusted disk input: the string
 //! length must match the declared shape exactly, only `[0-9a-f]` is
@@ -17,22 +18,51 @@
 
 use crate::queues::KpiQueues;
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 /// Hex digits per encoded sample.
 const DIGITS: usize = 16;
 
-/// The 16 lowercase hex digits of `bits`, most significant first.
+/// Samples encoded into one stack buffer before it is appended.
+const SAMPLES_PER_PUSH: usize = 64;
+
+/// The lowercase hex digit of the nibble `n`.
+const fn hex_digit(n: usize) -> u8 {
+    if n < 10 {
+        b'0' + n as u8
+    } else {
+        b'a' + (n - 10) as u8
+    }
+}
+
+/// The two lowercase hex digits of every byte.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    let mut table = [[0u8; 2]; 256];
+    let mut slots: &mut [[u8; 2]] = &mut table;
+    let mut byte = 0;
+    while let [slot, rest @ ..] = slots {
+        *slot = [hex_digit(byte >> 4), hex_digit(byte & 0xf)];
+        slots = rest;
+        byte += 1;
+    }
+    table
+};
+
+/// The 16 lowercase hex digits of `bits`, most significant first, one
+/// table lookup per byte.
 fn encode_bits(bits: u64) -> [u8; DIGITS] {
     let mut out = [0u8; DIGITS];
-    let mut rest = bits;
-    for digit in out.iter_mut().rev() {
-        let nibble = (rest & 0xf) as u8;
-        *digit = if nibble < 10 {
-            b'0' + nibble
-        } else {
-            b'a' + nibble - 10
-        };
-        rest >>= 4;
+    for (pair, byte) in out
+        .as_chunks_mut::<2>()
+        .0
+        .iter_mut()
+        .zip(bits.to_be_bytes())
+    {
+        // A `u8` index is always in the table.
+        *pair = HEX_PAIRS
+            .get(usize::from(byte))
+            .copied()
+            .unwrap_or_default();
     }
     out
 }
@@ -50,20 +80,35 @@ fn decode_bits(digits: &[u8]) -> Option<u64> {
     })
 }
 
-impl Serialize for KpiQueues {
-    fn to_value(&self) -> Value {
+impl KpiQueues {
+    /// Appends the `samples` hex of the retained history to `out`.
+    fn write_samples(&self, out: &mut String) {
         let retained = self.len.saturating_sub(self.base_tick) as usize;
         let offset = self.base_tick.saturating_sub(self.phys_base) as usize;
-        let mut hex = Vec::with_capacity(self.num_dbs * self.num_kpis * retained * DIGITS);
+        out.reserve(self.num_dbs * self.num_kpis * retained * DIGITS);
+        let mut buf = [0u8; SAMPLES_PER_PUSH * DIGITS];
         // Walk the slabs directly: each series' retained span starts at
         // the same physical offset, so no per-series window lookup.
         for slab in self.data.chunks_exact(self.slab()) {
-            for v in slab.iter().skip(offset).take(retained) {
-                hex.extend_from_slice(&encode_bits(v.to_bits()));
+            let span = slab.get(offset..).unwrap_or_default();
+            let span = span.get(..retained).unwrap_or(span);
+            for group in span.chunks(SAMPLES_PER_PUSH) {
+                for (digits, v) in buf.as_chunks_mut::<DIGITS>().0.iter_mut().zip(group) {
+                    *digits = encode_bits(v.to_bits());
+                }
+                // Only ASCII hex digits were written, so the default
+                // never applies.
+                let text = buf.get(..group.len() * DIGITS).unwrap_or_default();
+                out.push_str(std::str::from_utf8(text).unwrap_or_default());
             }
         }
-        // Only ASCII hex digits were written, so the default never applies.
-        let samples = String::from_utf8(hex).unwrap_or_default();
+    }
+}
+
+impl Serialize for KpiQueues {
+    fn to_value(&self) -> Value {
+        let mut samples = String::new();
+        self.write_samples(&mut samples);
         Value::Object(vec![
             ("num_dbs".to_string(), self.num_dbs.to_value()),
             ("num_kpis".to_string(), self.num_kpis.to_value()),
@@ -72,6 +117,19 @@ impl Serialize for KpiQueues {
             ("len".to_string(), self.len.to_value()),
             ("samples".to_string(), Value::Str(samples)),
         ])
+    }
+
+    /// The bytes of [`Serialize::to_value`]'s document, with the hex
+    /// written straight into `out` rather than into a `Value::Str` that
+    /// the string writer would then scan for escapes.
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"num_dbs\":{},\"num_kpis\":{},\"capacity\":{},\"base_tick\":{},\"len\":{},\"samples\":\"",
+            self.num_dbs, self.num_kpis, self.capacity, self.base_tick, self.len
+        );
+        self.write_samples(out);
+        out.push_str("\"}");
     }
 }
 

@@ -8,6 +8,7 @@
 //! `--resume` to rebuild its scope output from the WAL prefix.
 
 use crate::engine::{FleetEngine, HierarchyConfig, ScopeVerdict, UnitVerdict};
+use dbcatcher_core::wire::write_unit_verdict;
 
 /// Incremental offline replay of a unit-verdict stream.
 #[derive(Debug)]
@@ -68,9 +69,12 @@ where
 }
 
 /// Renders one unit verdict as its canonical JSONL line (the hierarchy
-/// WAL format).
+/// WAL format), through the same direct writer as the serve daemon's
+/// `Verdict` replies; the bytes equal `serde_json::to_string(record)`.
 pub fn render_unit_line(record: &UnitVerdict) -> String {
-    serde_json::to_string(record).unwrap_or_default()
+    let mut line = String::new();
+    write_unit_verdict(record.unit, record.at_tick, &record.verdict, &mut line);
+    line
 }
 
 /// Parses one hierarchy-WAL / `analyze-fleet` input line.

@@ -26,9 +26,10 @@ use crate::metrics::ServerMetrics;
 use crate::protocol::Response;
 use crate::shard::CrashSwitch;
 use crate::sync::LockRecover;
+use dbcatcher_core::wire::write_unit_verdict;
 use dbcatcher_hierarchy::{
-    parse_unit_line, render_scope_line, render_unit_line, FleetReplay, HierarchyConfig,
-    ScopeVerdict, Topology, UnitVerdict,
+    parse_unit_line, render_scope_line, FleetReplay, HierarchyConfig, ScopeVerdict, Topology,
+    UnitVerdict,
 };
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -152,6 +153,7 @@ fn run_feed(rx: Receiver<Response>, ctx: FeedContext) {
         }
     });
 
+    let mut line = String::new();
     while let Ok(response) = rx.recv() {
         let Response::Verdict {
             unit,
@@ -161,26 +163,26 @@ fn run_feed(rx: Receiver<Response>, ctx: FeedContext) {
         else {
             continue; // our own ScopeVerdict echoes, control frames
         };
-        let record = UnitVerdict {
-            unit,
-            at_tick,
-            verdict,
-        };
         // Durable point: the verdict reaches the hierarchy WAL before the
         // engine can act on it, so a crash never loses an observed line.
         if let Some(writer) = wal.as_mut() {
-            let line = render_unit_line(&record);
+            line.clear();
+            write_unit_verdict(unit, at_tick, &verdict, &mut line);
+            line.push('\n');
             if writer
                 .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush())
                 .is_err()
             {
                 ctx.metrics
-                    .record_wal_error(record.unit, "hierarchy WAL append failed".into());
+                    .record_wal_error(unit, "hierarchy WAL append failed".into());
             }
         }
-        replay.observe(record);
+        replay.observe(UnitVerdict {
+            unit,
+            at_tick,
+            verdict,
+        });
         publish(&mut replay, &mut history, &ctx);
     }
 

@@ -31,8 +31,21 @@
 //! Non-finite samples survive the wire: JSON has no NaN, so the serde shim
 //! writes `null` and reads it back as `f64::NAN`, which the ingest layer's
 //! gap repair then handles exactly as in the offline path.
+//!
+//! ## The direct codec
+//!
+//! The per-tick messages never pass through a `serde::Value` tree.
+//! [`WireMessage::encode_into`] writes `Request::Tick` and the `Accepted`,
+//! `Rejected` and `Verdict` replies straight into a caller-owned `String`
+//! (the connection writer thread reuses one line buffer), byte-identical
+//! to `serde_json::to_string`; every other message takes that generic
+//! path. [`decode_request`] reads a canonical `Tick` line in one pass,
+//! converting the common sample shape exactly without the generic number
+//! parser, and hands every other line to the generic decoder, which is
+//! also the oracle the direct reader is tested against.
 
 use dbcatcher_core::pipeline::Verdict;
+use dbcatcher_core::wire::{write_f64_array, write_u64, write_unit_verdict};
 use dbcatcher_hierarchy::ScopeVerdict;
 use serde::{Deserialize, Serialize};
 
@@ -212,27 +225,124 @@ impl std::fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Encodes any serialisable message as one wire line (no trailing
-/// newline; the writer appends it).
-pub fn encode<T: Serialize>(message: &T) -> String {
-    serde_json::to_string(message).unwrap_or_else(|e| {
-        // Unreachable for the shim data model; degrade to a protocol
-        // error the peer can at least report.
-        format!("{{\"Error\":{{\"message\":\"encode failed: {e}\"}}}}")
-    })
+/// A message with a wire encoding: [`Request`] or [`Response`].
+pub trait WireMessage: Serialize {
+    /// Appends the message's wire line (no trailing newline) to `out`.
+    ///
+    /// `Request::Tick` and the `Accepted`, `Rejected` and `Verdict`
+    /// replies are written directly; every other message renders through
+    /// its `serde::Value` tree. Both give the bytes
+    /// `serde_json::to_string` gives, and into a buffer that already has
+    /// the room neither allocates.
+    fn encode_into(&self, out: &mut String);
+}
+
+impl WireMessage for Request {
+    fn encode_into(&self, out: &mut String) {
+        match self {
+            Request::Tick { unit, tick, frame } => {
+                let cells: usize = frame.iter().map(Vec::len).sum();
+                out.reserve(48 + 24 * cells);
+                out.push_str("{\"Tick\":{\"unit\":");
+                write_u64(*unit as u64, out);
+                out.push_str(",\"tick\":");
+                write_u64(*tick, out);
+                out.push_str(",\"frame\":[");
+                for (i, row) in frame.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_f64_array(row, out);
+                }
+                out.push_str("]}}");
+            }
+            other => other.to_value().write_json(out),
+        }
+    }
+}
+
+impl WireMessage for Response {
+    fn encode_into(&self, out: &mut String) {
+        match self {
+            Response::Accepted { unit, tick } => {
+                out.reserve(64);
+                out.push_str("{\"Accepted\":{\"unit\":");
+                write_u64(*unit as u64, out);
+                out.push_str(",\"tick\":");
+                write_u64(*tick, out);
+                out.push_str("}}");
+            }
+            Response::Rejected {
+                unit,
+                tick,
+                expected,
+                retry_after_ms,
+                reason,
+            } => {
+                let reason = match reason {
+                    RejectReason::Backpressure => "Backpressure",
+                    RejectReason::OutOfOrder => "OutOfOrder",
+                    RejectReason::Degraded => "Degraded",
+                    RejectReason::UnknownUnit => "UnknownUnit",
+                };
+                out.reserve(160);
+                out.push_str("{\"Rejected\":{\"unit\":");
+                write_u64(*unit as u64, out);
+                out.push_str(",\"tick\":");
+                write_u64(*tick, out);
+                out.push_str(",\"expected\":");
+                write_u64(*expected, out);
+                out.push_str(",\"retry_after_ms\":");
+                write_u64(*retry_after_ms, out);
+                out.push_str(",\"reason\":\"");
+                out.push_str(reason);
+                out.push_str("\"}}");
+            }
+            Response::Verdict {
+                unit,
+                at_tick,
+                verdict,
+            } => {
+                // Room for the whole line up front, so a fresh buffer
+                // allocates once.
+                out.reserve(192 + 24 * verdict.scores.len());
+                out.push_str("{\"Verdict\":");
+                write_unit_verdict(*unit, *at_tick, verdict, out);
+                out.push('}');
+            }
+            other => other.to_value().write_json(out),
+        }
+    }
+}
+
+/// Encodes one message as a wire line (no trailing newline; the writer
+/// appends it) in a fresh `String`. A writer that sends many messages
+/// reuses one buffer through [`WireMessage::encode_into`] instead.
+pub fn encode<M: WireMessage>(message: &M) -> String {
+    let mut line = String::new();
+    message.encode_into(&mut line);
+    line
 }
 
 /// Decodes one request line.
 ///
 /// A `Tick` line in the canonical shape [`encode`] writes
 /// (`{"Tick":{"unit":…,"tick":…,"frame":[[…],…]}}`, any JSON whitespace
-/// between tokens) is read straight into [`Request::Tick`]: no `Value`
-/// tree, no key strings, and `dbs + 1` allocations for the frame. Every
+/// between tokens) is read straight into [`Request::Tick`] in one pass:
+/// no `Value` tree, no key strings, and `dbs + 1` allocations for the
+/// frame, each sized to what was parsed. A sample token of the shape
+/// `-?digits.digits` (at most 19 digits, mantissa at most 2^53, at most
+/// 22 after the point) is converted exactly as mantissa ÷ 10^fraction
+/// (Clinger's fast path: both operands are exact `f64`s, so the one
+/// rounding of the division is the correctly rounded value); any other
+/// token with a point goes to `str::parse::<f64>` on its bytes, as the
+/// shim's `parse_number` would send it. An integer token of at most 18
+/// digits reads as `i64` then `f64`, the generic reading (so `-0` is
+/// `+0.0`); every other token goes to the shim's `parse_number`. Every
 /// other line — other requests, reordered, unknown or duplicate keys,
 /// anything malformed — goes through the generic `serde_json` decoder,
-/// which therefore also produces every error. Numbers go through the
-/// shim's own tokenizer and `Deserialize` impls, so both paths yield the
-/// same bits.
+/// which therefore also produces every error and is the oracle the
+/// direct reader is tested against: both yield the same bits.
 ///
 /// # Errors
 /// [`ProtocolError::Oversized`] past [`MAX_LINE_BYTES`],
@@ -267,6 +377,24 @@ fn decode<T: Deserialize>(line: &str) -> Result<T, ProtocolError> {
 
 /// Samples per frame row the direct `Tick` reader buffers on the stack.
 const ROW_STACK: usize = 64;
+
+/// Frame rows the direct `Tick` reader holds on the stack before it
+/// allocates the frame at its exact length.
+const FRAME_STACK: usize = 64;
+
+/// Digits of a sample token the exact fast path reads; more could
+/// overflow the `u64` mantissa.
+const FAST_DIGITS: usize = 19;
+
+/// Largest mantissa the fast path converts: every integer up to 2^53 is
+/// an exact `f64`.
+const FAST_MANTISSA: u64 = 1 << 53;
+
+/// `10^k` for every `k` whose power is an exact `f64` (`5^22 < 2^53`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
 
 /// Direct reader for the canonical `Tick` line. Every method returns
 /// `None` at the first byte off the canonical shape; the caller then
@@ -331,13 +459,19 @@ impl<'a> TickCursor<'a> {
         serde_json::parse_number(self.bytes, &mut self.pos).ok()
     }
 
-    /// One sample: `null` (NaN) or a number, read exactly as
-    /// `f64::from_value` reads the generic parser's value.
+    /// One sample: `null` (NaN) or a number, read to the bits
+    /// `f64::from_value` gives for the generic parser's value.
     fn sample(&mut self) -> Option<f64> {
         self.skip_ws();
-        if self.rest().starts_with(b"null") {
+        let rest = self.rest();
+        if rest.starts_with(b"null") {
             self.pos += 4;
             return Some(f64::NAN);
+        }
+        if let Some((value, len)) = Decimal::scan(rest).and_then(|d| Some((d.value(rest)?, d.len)))
+        {
+            self.pos += len;
+            return Some(value);
         }
         f64::from_value(&self.number()?).ok()
     }
@@ -356,18 +490,36 @@ impl<'a> TickCursor<'a> {
 
     fn frame(&mut self) -> Option<Vec<Vec<f64>>> {
         self.consume(b"[")?;
-        // In a canonical line every `[` left is a row's; counting them
-        // (a vectorisable pass) sizes the frame exactly.
-        let rows = self.rest().iter().filter(|&&b| b == b'[').count();
-        let mut frame = Vec::with_capacity(rows);
         if self.consume(b"]").is_some() {
-            return Some(frame);
+            return Some(Vec::new());
         }
+        // Rows land on the stack first, so the frame is allocated once at
+        // its exact length, and only for rows already parsed; only frames
+        // taller than the stack spill.
+        let mut stack: [Vec<f64>; FRAME_STACK] = [const { Vec::new() }; FRAME_STACK];
+        let mut len = 0;
+        let mut tall: Vec<Vec<f64>> = Vec::new();
         loop {
-            frame.push(self.row()?);
-            if !self.more()? {
-                return Some(frame);
+            let row = self.row()?;
+            if let Some(slot) = stack.get_mut(len) {
+                *slot = row;
+            } else {
+                if tall.is_empty() {
+                    tall.extend(stack.iter_mut().map(std::mem::take));
+                }
+                tall.push(row);
             }
+            len += 1;
+            if !self.more()? {
+                break;
+            }
+        }
+        if tall.is_empty() {
+            let mut frame = Vec::with_capacity(len);
+            frame.extend(stack.iter_mut().take(len).map(std::mem::take));
+            Some(frame)
+        } else {
+            Some(tall)
         }
     }
 
@@ -402,6 +554,142 @@ impl<'a> TickCursor<'a> {
             Some(wide)
         }
     }
+}
+
+/// A sample token of the shape `-?digits(.digits)?`, scanned once.
+struct Decimal {
+    negative: bool,
+    /// The digits as one integer, point ignored; wraps past 19 digits.
+    mantissa: u64,
+    digits: usize,
+    /// Digits after the point; `None` for an integer token.
+    fraction: Option<usize>,
+    /// Token length in bytes, sign included.
+    len: usize,
+}
+
+impl Decimal {
+    /// Scans the token at the start of `bytes`. `None` unless it has the
+    /// shape above and ends where the shim's `parse_number` ends it (a
+    /// further `.`, exponent or sign leaves the whole token to that).
+    fn scan(bytes: &[u8]) -> Option<Self> {
+        let negative = bytes.first() == Some(&b'-');
+        let mut len = usize::from(negative);
+        let (mut mantissa, mut digits) = digit_run(bytes, &mut len, 0);
+        if digits == 0 {
+            return None;
+        }
+        let mut fraction = None;
+        if bytes.get(len) == Some(&b'.') {
+            len += 1;
+            let (whole, after) = digit_run(bytes, &mut len, mantissa);
+            if after == 0 {
+                return None;
+            }
+            (mantissa, digits, fraction) = (whole, digits + after, Some(after));
+        }
+        if matches!(bytes.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return None;
+        }
+        Some(Self {
+            negative,
+            mantissa,
+            digits,
+            fraction,
+            len,
+        })
+    }
+
+    /// The token's value, bit-identical to the shim's reading of it;
+    /// `None` leaves it to `parse_number`.
+    ///
+    /// - An integer of at most 18 digits: the shim reads it as an `i64`
+    ///   and converts, so this does too (`-0` becomes `+0.0`).
+    /// - At most [`FAST_DIGITS`] digits, mantissa at most
+    ///   [`FAST_MANTISSA`], at most 22 after the point: mantissa and power
+    ///   of ten are exact `f64`s, so the division rounds once, correctly
+    ///   (Clinger's fast path) — the bits `str::parse::<f64>` returns.
+    /// - Any other token with a point: the shim hands these same bytes to
+    ///   `str::parse::<f64>`, so this does.
+    fn value(&self, bytes: &[u8]) -> Option<f64> {
+        let signed = |magnitude: f64| if self.negative { -magnitude } else { magnitude };
+        match self.fraction {
+            None if self.digits <= 18 => {
+                let magnitude = self.mantissa as i64;
+                Some((if self.negative { -magnitude } else { magnitude }) as f64)
+            }
+            None => None,
+            Some(fraction)
+                if self.digits <= FAST_DIGITS
+                    && self.mantissa <= FAST_MANTISSA
+                    && fraction < POW10.len() =>
+            {
+                Some(signed(self.mantissa as f64 / POW10.get(fraction)?))
+            }
+            Some(_) => std::str::from_utf8(bytes.get(..self.len)?)
+                .ok()?
+                .parse()
+                .ok(),
+        }
+    }
+}
+
+/// `10^n` for every digit count a word step consumes.
+const POW10_INT: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+/// Reads the run of ASCII digits at `bytes[*pos..]` onto `acc`
+/// (wrapping) and advances `pos` past it; returns the new value and the
+/// run's length. Eight bytes are examined per step, so a run costs one
+/// or two word steps rather than a branch per digit.
+fn digit_run(bytes: &[u8], pos: &mut usize, mut acc: u64) -> (u64, usize) {
+    let start = *pos;
+    while let Some(word) = bytes.get(*pos..).and_then(<[u8]>::first_chunk::<8>) {
+        let (value, count) = leading_digits(word);
+        let scale = POW10_INT.get(count).copied().unwrap_or_default();
+        acc = acc.wrapping_mul(scale).wrapping_add(value);
+        *pos += count;
+        if count < 8 {
+            return (acc, *pos - start);
+        }
+    }
+    // Fewer than eight bytes left in the line.
+    while let Some(&b) = bytes.get(*pos).filter(|b| b.is_ascii_digit()) {
+        acc = acc.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+        *pos += 1;
+    }
+    (acc, *pos - start)
+}
+
+/// The value and count of the ASCII digits that open `word` (SWAR: one
+/// 64-bit word, no per-byte loop).
+fn leading_digits(word: &[u8; 8]) -> (u64, usize) {
+    let word = u64::from_le_bytes(*word);
+    let digits = word.wrapping_sub(0x3030_3030_3030_3030);
+    // A byte below `0` borrows into its top bit, one above `9` carries
+    // into it once 0x46 is added. Borrows and carries only run upwards,
+    // so the lowest flagged byte is the first non-digit exactly.
+    let flags = (digits | word.wrapping_add(0x4646_4646_4646_4646)) & 0x8080_8080_8080_8080;
+    let count = (flags.trailing_zeros() / 8) as usize;
+    // Shift the `count` digits to the top; the bytes shifted in read as
+    // leading zeros.
+    let digits = digits
+        .checked_shl(64 - 8 * count as u32)
+        .unwrap_or_default();
+    // Byte pairs, then pairs of pairs, then the two halves.
+    let pairs = digits.wrapping_mul(10).wrapping_add(digits >> 8);
+    let low = (pairs & 0x0000_00ff_0000_00ff).wrapping_mul(100 + (1_000_000 << 32));
+    let high = ((pairs >> 16) & 0x0000_00ff_0000_00ff).wrapping_mul(1 + (10_000 << 32));
+    (low.wrapping_add(high) >> 32, count)
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 
 use crate::hierarchy::{self, HierarchyOptions};
 use crate::metrics::ServerMetrics;
-use crate::protocol::{self, Request, Response, MAX_LINE_BYTES};
+use crate::protocol::{self, Request, Response, WireMessage, MAX_LINE_BYTES};
 use crate::shard::{CrashSwitch, DetectorTemplate, Job, Registry, ShardChaos, ShardContext};
 use crate::supervisor::ShardSupervisor;
 use crate::sync::LockRecover;
@@ -452,20 +452,19 @@ fn send_acks(tx: &Sender<Response>, acks: &mut Vec<Response>) {
 }
 
 /// Writer thread body: serialises every outbound message (reader acks
-/// and shard verdicts alike) onto the socket, flushing once per drained
-/// batch rather than once per message. Exits when all senders drop or
-/// the peer goes away.
+/// and shard verdicts alike) onto the socket through one reused line
+/// buffer, flushing once per drained batch rather than once per message.
+/// Exits when all senders drop or the peer goes away.
 fn write_responses(socket: TcpStream, rx: &Receiver<Response>) {
     let mut writer = BufWriter::new(socket);
+    let mut line = String::new();
     while let Ok(first) = rx.recv() {
         let mut next = Some(first);
         while let Some(response) = next {
-            let line = protocol::encode(&response);
-            if writer
-                .write_all(line.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .is_err()
-            {
+            line.clear();
+            response.encode_into(&mut line);
+            line.push('\n');
+            if writer.write_all(line.as_bytes()).is_err() {
                 return;
             }
             next = rx.try_recv().ok();

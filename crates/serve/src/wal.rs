@@ -60,9 +60,12 @@ pub const WAL_MAGIC: u32 = 0x5741_4C31;
 /// Records per segment before the writer seals it and starts the next.
 pub const RECORDS_PER_SEGMENT: u64 = 512;
 
+/// Bytes of the record magic, which the CRC does not cover.
+const MAGIC_BYTES: usize = 4;
+
 /// Fixed header bytes before the frame payload (magic + unit + tick +
 /// dbs + kpis).
-const HEADER_BYTES: usize = 4 + 8 + 8 + 4 + 4;
+const HEADER_BYTES: usize = MAGIC_BYTES + 8 + 8 + 4 + 4;
 
 /// Trailing checksum bytes.
 const CRC_BYTES: usize = 4;
@@ -73,33 +76,87 @@ const CRC_BYTES: usize = 4;
 const MAX_DIM: u32 = 4096;
 const MAX_CELLS: u64 = 1 << 20;
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 == 1 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
+/// CRC-32/IEEE polynomial, bit-reflected (the zlib polynomial).
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// The CRC register after shifting the byte `byte` through it bit by bit.
+const fn crc_byte(byte: u32) -> u32 {
+    let mut crc = byte;
+    let mut bit = 0;
+    while bit < 8 {
+        crc = if crc & 1 == 1 {
+            (crc >> 1) ^ CRC_POLY
+        } else {
+            crc >> 1
+        };
+        bit += 1;
     }
-    table
+    crc
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[k][b]` is the register contribution
+/// of byte `b` followed by `k` zero bytes, so eight table lookups advance
+/// the CRC over one 8-byte word.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut rows: &mut [[u32; 256]] = &mut tables;
+    let mut zeros = 0;
+    while let [table, rest @ ..] = rows {
+        let mut slots: &mut [u32] = table;
+        let mut byte = 0;
+        while let [slot, tail @ ..] = slots {
+            let mut crc = crc_byte(byte);
+            let mut k = 0;
+            while k < zeros {
+                crc = (crc >> 8) ^ crc_byte(crc & 0xFF);
+                k += 1;
+            }
+            *slot = crc;
+            slots = tail;
+            byte += 1;
+        }
+        rows = rest;
+        zeros += 1;
+    }
+    tables
+}
 
-/// CRC-32/IEEE (the zlib polynomial), table-driven.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// `table[index & 0xFF]`; the mask keeps the lookup in bounds, so the
+/// fallback never applies and the check compiles away.
+fn lookup(table: &[u32; 256], index: u64) -> u32 {
+    table
+        .get((index & 0xFF) as usize)
+        .copied()
+        .unwrap_or_default()
+}
+
+/// CRC-32/IEEE (the zlib polynomial) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    crc32_update(0, bytes)
+}
+
+/// Continues `crc`, the CRC-32 of some prefix, over `bytes`:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`. Eight bytes at a time
+/// through the slicing-by-8 tables, then byte by byte.
+fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let mut crc = !crc;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for word in words {
+        let w = u64::from_le_bytes(*word) ^ u64::from(crc);
+        crc = lookup(t7, w)
+            ^ lookup(t6, w >> 8)
+            ^ lookup(t5, w >> 16)
+            ^ lookup(t4, w >> 24)
+            ^ lookup(t3, w >> 32)
+            ^ lookup(t2, w >> 40)
+            ^ lookup(t1, w >> 48)
+            ^ lookup(t0, w >> 56);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ lookup(t0, u64::from(crc ^ u32::from(b)));
     }
     !crc
 }
@@ -117,10 +174,18 @@ pub struct WalRecord {
 
 /// Serialises one record into its on-disk framing.
 pub fn encode_record(unit: usize, tick: u64, frame: &[Vec<f64>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_record(&mut out, unit, tick, frame);
+    out
+}
+
+/// Replaces the contents of `out` with one record's on-disk framing;
+/// a buffer reused across appends stops allocating once it fits a frame.
+fn write_record(out: &mut Vec<u8>, unit: usize, tick: u64, frame: &[Vec<f64>]) {
     let dbs = frame.len() as u32;
     let kpis = frame.first().map_or(0, |row| row.len() as u32);
-    let mut out =
-        Vec::with_capacity(HEADER_BYTES + (dbs as usize) * (kpis as usize) * 8 + CRC_BYTES);
+    out.clear();
+    out.reserve(HEADER_BYTES + (dbs as usize) * (kpis as usize) * 8 + CRC_BYTES);
     out.extend_from_slice(&WAL_MAGIC.to_le_bytes());
     out.extend_from_slice(&(unit as u64).to_le_bytes());
     out.extend_from_slice(&tick.to_le_bytes());
@@ -131,9 +196,9 @@ pub fn encode_record(unit: usize, tick: u64, frame: &[Vec<f64>]) -> Vec<u8> {
             out.extend_from_slice(&value.to_bits().to_le_bytes());
         }
     }
-    let crc = crc32(&out[4..]);
+    // The CRC covers everything after the magic.
+    let crc = crc32(out.get(MAGIC_BYTES..).unwrap_or_default());
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Little-endian u32 at `off`; reads past the end yield 0-padding, which
@@ -277,7 +342,8 @@ pub fn recover_shard(dir: &Path) -> io::Result<ShardRecovery> {
                 break;
             }
             let stored = read_u32(&data, off + HEADER_BYTES + payload);
-            let computed = crc32(&data[off + 4..off + HEADER_BYTES + payload]);
+            let covered = data.get(off + MAGIC_BYTES..off + HEADER_BYTES + payload);
+            let computed = crc32(covered.unwrap_or_default());
             if stored != computed {
                 recovery.diagnostics.push(format!(
                     "{}: CRC mismatch at byte {off} (stored {stored:#010x}, computed {computed:#010x}); discarding rest of segment",
@@ -341,6 +407,8 @@ pub struct WalWriter {
     active_max: BTreeMap<usize, u64>,
     sealed: Vec<SegmentMeta>,
     floors: BTreeMap<usize, u64>,
+    /// Encoding buffer reused by every append.
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -364,6 +432,7 @@ impl WalWriter {
             active_max: BTreeMap::new(),
             sealed: recovered.segments.clone(),
             floors: BTreeMap::new(),
+            record: Vec::new(),
         })
     }
 
@@ -373,8 +442,8 @@ impl WalWriter {
     /// client has not seen survive a restart boundary yet — process
     /// kills, the simulator's fault model, lose nothing).
     pub fn append(&mut self, unit: usize, tick: u64, frame: &[Vec<f64>]) -> io::Result<()> {
-        let record = encode_record(unit, tick, frame);
-        self.file.write_all(&record)?;
+        write_record(&mut self.record, unit, tick, frame);
+        self.file.write_all(&self.record)?;
         self.records_in_segment += 1;
         self.unsynced += 1;
         self.active_max
@@ -488,6 +557,57 @@ mod tests {
         // The standard CRC-32/IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The definition: the reflected polynomial shifted through one bit
+    /// at a time, no tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    (crc >> 1) ^ CRC_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 equals the bitwise definition at every length and
+        /// start offset (so every word alignment and tail length), and
+        /// continuing over any split equals the one-shot CRC.
+        #[test]
+        fn crc32_matches_bitwise_reference(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..4096,
+            skip in 0usize..8,
+            cuts in proptest::prelude::prop::collection::vec(0usize..4096, 0..6),
+        ) {
+            let mut state = seed;
+            let bytes: Vec<u8> = (0..len + skip)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (state >> 56) as u8
+                })
+                .collect();
+            let bytes = &bytes[skip.min(bytes.len())..];
+            let whole = crc32(bytes);
+            assert_eq!(whole, crc32_bitwise(bytes));
+            let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+            cuts.push(bytes.len());
+            cuts.sort_unstable();
+            let mut crc = 0;
+            let mut start = 0;
+            for cut in cuts {
+                crc = crc32_update(crc, &bytes[start..cut]);
+                start = cut;
+            }
+            assert_eq!(crc, whole);
+        }
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Wire-protocol property tests: every message variant survives
-//! serialize → parse, and hostile lines (garbage, truncation, oversize)
+//! serialize → parse, hostile lines (garbage, truncation, oversize)
 //! always produce a typed [`ProtocolError`] — never a panic, never a
-//! silently wrong message.
+//! silently wrong message — and the direct codec is held to the generic
+//! one: encoded bytes equal `serde_json::to_string`, decoded frames equal
+//! `serde_json::from_str` bit for bit.
 
 use dbcatcher_core::pipeline::Verdict;
 use dbcatcher_core::state::DbState;
-use dbcatcher_hierarchy::{IncidentClass, Scope, ScopeState, ScopeVerdict};
+use dbcatcher_hierarchy::{
+    render_unit_line, IncidentClass, Scope, ScopeState, ScopeVerdict, UnitVerdict,
+};
 use dbcatcher_serve::metrics::{MetricsSnapshot, ShardStatus, UnitMetrics};
 use dbcatcher_serve::protocol::{
     decode_request, decode_response, encode, ProtocolError, RejectReason, Request, Response,
-    MAX_LINE_BYTES,
+    WireMessage, MAX_LINE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -532,5 +536,165 @@ fn direct_decoder_edge_lines_match_generic_decoder() {
             }
             other => panic!("{other:?}"),
         }
+    }
+    // Frames around and past the direct reader's row stack, rows in order.
+    for height in [63usize, 64, 65, 130] {
+        let rows: Vec<String> = (0..height).map(|r| format!("[{r}.5,-{r}]")).collect();
+        let line = format!(
+            "{{\"Tick\":{{\"unit\":1,\"tick\":2,\"frame\":[{}]}}}}",
+            rows.join(",")
+        );
+        assert_agrees(&line);
+        match decode_request(&line).expect("tall frames decode") {
+            Request::Tick { frame, .. } => {
+                assert_eq!(frame.len(), height);
+                for (r, row) in frame.iter().enumerate() {
+                    assert_eq!(row, &[r as f64 + 0.5, -(r as f64)]);
+                }
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Direct encoders vs `serde_json::to_string`, direct sample reader vs
+// the generic number parser.
+
+/// An encoder edge case chosen by `pick`, or a float built from `bits`.
+fn edge_float(pick: usize, bits: u64) -> f64 {
+    let sign = if bits >> 63 == 1 { -1.0 } else { 1.0 };
+    match pick % 14 {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        5 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // subnormal
+        6 => f64::MAX,
+        7 => f64::MIN,
+        8 => (bits % (1 << 53)) as f64 * sign, // integer-valued
+        9 => ((bits % 1_000) as f64 - 500.0) * 0.25,
+        10 => (bits >> 11) as f64 / 10f64.powi((bits % 20) as i32),
+        _ => f64::from_bits(bits),
+    }
+}
+
+/// `message` through its direct encoder, appended after a prefix so the
+/// append-only contract is checked too, and through `encode`.
+fn assert_encodes_like_serde<M: WireMessage + std::fmt::Debug>(message: &M) {
+    let expected = serde_json::to_string(message).expect("shim serialisation");
+    let mut out = String::from("prefix");
+    message.encode_into(&mut out);
+    assert_eq!(
+        out.strip_prefix("prefix"),
+        Some(expected.as_str()),
+        "{message:?}"
+    );
+    assert_eq!(encode(message), expected, "{message:?}");
+}
+
+proptest! {
+    /// `Accepted`, `Rejected` (every reason), `Verdict` (every state),
+    /// `Request::Tick` and the hierarchy's unit-verdict line write the
+    /// bytes `serde_json::to_string` writes, over non-finite, signed-zero,
+    /// subnormal, extreme and integer-valued floats, empty score and
+    /// frame vectors, and `u64::MAX` ticks.
+    #[test]
+    fn direct_encoders_match_serde_json(
+        picks in prop::collection::vec(0usize..14, 0..20),
+        bits in prop::collection::vec(any::<u64>(), 1..20),
+        widths in prop::collection::vec(0usize..6, 0..5),
+        id_pick in 0usize..4,
+        id_bits in any::<u64>(),
+    ) {
+        let floats: Vec<f64> = picks
+            .iter()
+            .zip(bits.iter().cycle())
+            .map(|(&pick, &b)| edge_float(pick, b))
+            .collect();
+        let (unit, tick) = match id_pick {
+            0 => (usize::MAX, u64::MAX),
+            1 => (0, 0),
+            _ => ((id_bits >> 40) as usize, id_bits),
+        };
+        let mut cells = floats.iter().copied().cycle();
+        let frame: Vec<Vec<f64>> = widths
+            .iter()
+            .map(|&w| if floats.is_empty() { Vec::new() } else { cells.by_ref().take(w).collect() })
+            .collect();
+        assert_encodes_like_serde(&Request::Tick { unit, tick, frame });
+        assert_encodes_like_serde(&Response::Accepted { unit, tick });
+        for reason in [
+            RejectReason::Backpressure,
+            RejectReason::OutOfOrder,
+            RejectReason::Degraded,
+            RejectReason::UnknownUnit,
+        ] {
+            assert_encodes_like_serde(&Response::Rejected {
+                unit,
+                tick,
+                expected: tick.wrapping_add(1),
+                retry_after_ms: id_bits % 1_000,
+                reason,
+            });
+        }
+        for state in [DbState::Healthy, DbState::Observable, DbState::Abnormal] {
+            let verdict = Verdict {
+                db: unit % 64,
+                start_tick: tick / 2,
+                end_tick: tick,
+                state,
+                window_size: unit,
+                expansions: id_bits as u32,
+                scores: floats.clone(),
+            };
+            let record = UnitVerdict { unit, at_tick: tick, verdict: verdict.clone() };
+            prop_assert_eq!(
+                render_unit_line(&record),
+                serde_json::to_string(&record).expect("shim serialisation")
+            );
+            assert_encodes_like_serde(&Response::Verdict { unit, at_tick: tick, verdict });
+        }
+    }
+
+    /// Decimal tokens `-?\d{1,20}(\.\d{0,25})?` and the shortest and
+    /// exponent renderings of random floats read to the generic decoder's
+    /// bits, on both sides of every fast-path bound (19 digits, 2^53,
+    /// 22 fraction digits).
+    #[test]
+    fn sample_tokens_decode_like_the_generic_parser(
+        ints in prop::collection::vec(prop::collection::vec(0usize..10, 1..21), 1..10),
+        fracs in prop::collection::vec(prop::collection::vec(0usize..10, 0..26), 1..10),
+        shapes in prop::collection::vec(0usize..4, 1..10),
+        bits in prop::collection::vec(any::<u64>(), 1..10),
+    ) {
+        let digits = |ds: &[usize]| ds.iter().map(|d| char::from(b'0' + *d as u8)).collect::<String>();
+        let mut tokens: Vec<String> = ints
+            .iter()
+            .enumerate()
+            .map(|(i, int)| {
+                let shape = shapes[i % shapes.len()];
+                let sign = if shape & 1 == 1 { "-" } else { "" };
+                if shape & 2 == 2 {
+                    format!("{sign}{}.{}", digits(int), digits(&fracs[i % fracs.len()]))
+                } else {
+                    format!("{sign}{}", digits(int))
+                }
+            })
+            .collect();
+        for (i, &b) in bits.iter().enumerate() {
+            let x = edge_float(8 + i % 6, b);
+            if x.is_finite() {
+                tokens.push(serde_json::to_string(&x).expect("shim serialisation"));
+                tokens.push(format!("{x:e}"));
+            }
+        }
+        let line = format!(
+            "{{\"Tick\":{{\"unit\":1,\"tick\":2,\"frame\":[[{}]]}}}}",
+            tokens.join(",")
+        );
+        assert_agrees(&line);
+        prop_assert!(decode_request(&line).is_ok(), "every token is a JSON number: {line}");
     }
 }

@@ -139,30 +139,31 @@ fn write_json_f64(f: f64, out: &mut String) {
 
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    // Copy each run of unescaped text with one `push_str`. Every byte that
-    // needs escaping is ASCII, so `run` and `i` always sit on char
-    // boundaries and multibyte text passes through untouched.
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0x00..=0x1f => None,
-            _ => continue,
-        };
-        out.push_str(&s[run..i]);
-        match escape {
-            Some(text) => out.push_str(text),
-            None => {
-                let _ = write!(out, "\\u{b:04x}");
+    let mut rest = s;
+    // Each escape-free run is found with one scan and copied with one
+    // `push_str`. Every byte that needs escaping is ASCII, so the split
+    // always falls on a char boundary and multibyte text passes through.
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        let (run, tail) = rest.split_at(at);
+        out.push_str(run);
+        let mut chars = tail.chars();
+        match chars.next() {
+            Some('"') => out.push_str("\\\""),
+            Some('\\') => out.push_str("\\\\"),
+            Some('\n') => out.push_str("\\n"),
+            Some('\r') => out.push_str("\\r"),
+            Some('\t') => out.push_str("\\t"),
+            Some(c) => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
             }
+            None => {}
         }
-        run = i + 1;
+        rest = chars.as_str();
     }
-    out.push_str(&s[run..]);
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -210,6 +211,14 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Renders `self` as a [`Value`] tree.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON to `out`: exactly the bytes of
+    /// [`Value::write_json`] on [`Serialize::to_value`], which is the
+    /// default. Derived named structs write field by field, and a type
+    /// with a large direct rendering overrides it to skip the tree.
+    fn write_json(&self, out: &mut String) {
+        self.to_value().write_json(out);
+    }
 }
 
 /// Conversion out of the shim data model.
@@ -570,6 +579,10 @@ impl_tuple! {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        Value::write_json(self, out);
     }
 }
 

@@ -10,7 +10,9 @@
 //! Generated impls target the in-tree `serde` shim's `Value` model:
 //! structs become objects, unit variants become strings, data-carrying
 //! variants become `{"Variant": …}` single-key objects — mirroring
-//! serde_json's externally-tagged default.
+//! serde_json's externally-tagged default. Named structs also get a
+//! field-by-field `write_json` with the same output, so a field type that
+//! writes its JSON directly is never built as a tree first.
 
 #![forbid(unsafe_code)]
 
@@ -282,9 +284,33 @@ fn gen_serialize(input: &Input) -> String {
             format!("match self {{ {} }}", arms.join(", "))
         }
     };
+    // Named structs also write themselves field by field, so a field
+    // with its own direct writer is never rendered through a tree.
+    let write_json = match &input.shape {
+        Shape::NamedStruct(fields) => {
+            let writes: Vec<String> = fields
+                .iter()
+                .enumerate()
+                .map(|(i, f)| {
+                    let sep = if i == 0 { "" } else { "," };
+                    format!(
+                        "out.push_str(\"{sep}\\\"{f}\\\":\"); \
+                         ::serde::Serialize::write_json(&self.{f}, out);"
+                    )
+                })
+                .collect();
+            format!(
+                "\tfn write_json(&self, out: &mut ::std::string::String) {{ \
+                 out.push('{{'); {} out.push('}}'); }}\n",
+                writes.join(" ")
+            )
+        }
+        _ => String::new(),
+    };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
          \tfn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+         {write_json}\
          }}"
     )
 }

@@ -56,7 +56,7 @@ impl From<std::io::Error> for Error {
 /// crate's signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    value.to_value().write_json(&mut out);
+    value.write_json(&mut out);
     Ok(out)
 }
 

@@ -11,12 +11,18 @@
 //! their own binaries, so the counter never sees other suites). The tests
 //! in this file take one lock so they never count each other.
 //!
-//! The same harness pins the serve path's tick decoder: decoding a wire
-//! `Tick` line costs one allocation per frame row plus one for the frame.
+//! The same harness pins the serve path's wire codec: decoding a wire
+//! `Tick` line costs one allocation per frame row plus one for the frame,
+//! a hostile line cannot make the decoder allocate far beyond its own
+//! size, and encoding the per-tick replies into a warm buffer allocates
+//! nothing.
 
 use dbcatcher::core::config::{CorrelationBackend, DbCatcherConfig, DelayScan};
-use dbcatcher::core::pipeline::DbCatcher;
-use dbcatcher::serve::protocol::{decode_request, encode, Request};
+use dbcatcher::core::pipeline::{DbCatcher, Verdict};
+use dbcatcher::core::state::DbState;
+use dbcatcher::serve::protocol::{
+    decode_request, encode, Request, Response, WireMessage, MAX_LINE_BYTES,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,11 +37,15 @@ thread_local! {
     /// short enough that the test runner's own bookkeeping on another
     /// thread could land inside them.
     static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Largest single allocation (bytes) the current thread has made
+    /// since the last [`reset_thread_largest`].
+    static THREAD_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     let _ = THREAD_ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_LARGEST.try_with(|c| c.set(c.get().max(bytes)));
 }
 
 // SAFETY AUDIT — one of the workspace's two sanctioned `unsafe` surfaces
@@ -49,24 +59,24 @@ fn count_allocation() {
 // handed out, and no unwinding crosses the allocator boundary. This impl
 // delegates every operation verbatim to `std::alloc::System` — the same
 // allocator the program would use anyway — and only increments a relaxed
-// atomic counter and a const-initialised, destructor-free thread-local
-// `Cell` on the side. Neither counter can unwind, allocate, or touch the
+// atomic counter and updates const-initialised, destructor-free
+// thread-local `Cell`s on the side. None of them can unwind, allocate, or touch the
 // pointer (`try_with` never registers a destructor for such a key), so the
 // entire safety obligation is inherited from `System`, which upholds it
 // by definition.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -84,6 +94,14 @@ fn allocations() -> u64 {
 
 fn thread_allocations() -> u64 {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+fn reset_thread_largest() {
+    THREAD_LARGEST.with(|c| c.set(0));
+}
+
+fn thread_largest() -> usize {
+    THREAD_LARGEST.with(Cell::get)
 }
 
 /// Serialises the tests of this binary: the counter is process-wide.
@@ -193,5 +211,63 @@ fn tick_decode_allocates_one_per_row_plus_one() {
             allocated <= dbs as u64 + 1,
             "decoding a {dbs}x{kpis} tick allocated {allocated} times"
         );
+    }
+}
+
+#[test]
+fn hostile_tick_line_allocates_nothing_large() {
+    let _serial = exclusive();
+    // A canonical prefix, then `[` up to the wire limit: every `[` opens
+    // a row that never holds a sample.
+    let mut line = String::from("{\"Tick\":{\"unit\":0,\"tick\":0,\"frame\":[");
+    line.extend(std::iter::repeat_n('[', MAX_LINE_BYTES - line.len()));
+    assert_eq!(line.len(), MAX_LINE_BYTES);
+    reset_thread_largest();
+    let decoded = decode_request(&line);
+    let largest = thread_largest();
+    assert!(decoded.is_err(), "hostile line decoded: {decoded:?}");
+    assert!(
+        largest <= 64 << 10,
+        "decoding a {MAX_LINE_BYTES}-byte hostile line made a {largest}-byte allocation"
+    );
+}
+
+#[test]
+fn reply_encode_into_warm_buffer_allocates_nothing() {
+    let _serial = exclusive();
+    let ack = Response::Accepted {
+        unit: 63,
+        tick: u64::MAX,
+    };
+    let verdict = Response::Verdict {
+        unit: 63,
+        at_tick: 1_000_019,
+        verdict: Verdict {
+            db: 4,
+            start_tick: 1_000_000,
+            end_tick: 1_000_020,
+            state: DbState::Abnormal,
+            window_size: 20,
+            expansions: 2,
+            scores: (0..14)
+                .map(|k| match k {
+                    3 => f64::NAN,
+                    7 => -0.0,
+                    _ => 0.123_456_789_012_345_6 * f64::from(k),
+                })
+                .collect(),
+        },
+    };
+    let mut line = String::new();
+    for message in [&ack, &verdict] {
+        // Warm up: the first pass grows the buffer to the line's size.
+        message.encode_into(&mut line);
+        line.clear();
+        let before = thread_allocations();
+        message.encode_into(&mut line);
+        let allocated = thread_allocations() - before;
+        assert_eq!(line, encode(message));
+        assert_eq!(allocated, 0, "encoding {line} allocated {allocated} times");
+        line.clear();
     }
 }
